@@ -4,13 +4,15 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use tinyevm_analysis::{analyze, GasCertificate, UnprovenReason, Verdict};
-use tinyevm_channel::{GatewayDriver, GatewaySettlementReport, ProtocolDriver, SensorSummary};
+use tinyevm_channel::ProtocolDriver;
 use tinyevm_corpus::{histogram, summarize, CorpusConfig, DistributionSummary};
 use tinyevm_device::{Footprint, Mcu, PowerState};
 use tinyevm_evm::opcode::{evm_census, tinyevm_census};
 use tinyevm_evm::{deploy, Evm, EvmConfig};
-use tinyevm_net::LinkConfig;
-use tinyevm_sim::{FleetConfig, FleetReport, FleetScheduler};
+use tinyevm_sim::{
+    FleetConfig, FleetReport, FleetScheduler, GatewaySettlementReport, SensorSummary,
+    QUARANTINE_THRESHOLD,
+};
 use tinyevm_types::Wei;
 
 /// Results of the corpus macro-benchmark (Table II, Figures 3 and 4).
@@ -1033,13 +1035,13 @@ pub struct MultiNodeExperiment {
 /// parameters always produce byte-identical statistics.
 pub fn multinode_experiment(sensors: usize, rounds: usize) -> MultiNodeExperiment {
     let amount = Wei::from(2_500u64);
-    let mut driver = GatewayDriver::new(sensors, LinkConfig::default(), Wei::from(1_000_000u64));
-    driver.open_all().expect("channels open");
-    driver.run(rounds, amount).expect("payments succeed");
-    let summaries = driver.sensor_summaries();
-    let medium_wire_bytes = driver.medium().total_wire_bytes();
-    let medium_airtime = driver.medium().total_airtime();
-    let settlement = driver.settle_all().expect("all channels settle");
+    let mut fleet = FleetScheduler::new(FleetConfig::single_slot(sensors));
+    fleet.open_all().expect("channels open");
+    fleet.run(rounds, amount).expect("payments succeed");
+    let summaries = fleet.sensor_summaries();
+    let medium_wire_bytes = fleet.medium().inner().total_wire_bytes();
+    let medium_airtime = fleet.medium().inner().total_airtime();
+    let settlement = fleet.settle_all().expect("all channels settle");
     MultiNodeExperiment {
         sensors,
         rounds,
@@ -1200,15 +1202,14 @@ pub fn trace_experiment(fleet_sizes: &[usize], rounds: usize) -> TraceExperiment
     let mut jsonl = String::new();
     for (index, &sensors) in fleet_sizes.iter().enumerate() {
         let tracer = tinyevm_trace::TraceHandle::recording(65_536);
-        let mut driver =
-            GatewayDriver::new(sensors, LinkConfig::default(), Wei::from(1_000_000u64))
-                .with_tracer(tracer.clone());
-        driver.open_all().expect("channels open");
-        driver
+        let mut fleet = FleetScheduler::new(FleetConfig::single_slot(sensors));
+        fleet.set_tracer(tracer.clone());
+        fleet.open_all().expect("channels open");
+        fleet
             .run(rounds, Wei::from(2_500u64))
             .expect("payments succeed");
-        let fleet_energy_mj: f64 = driver.sensor_summaries().iter().map(|s| s.energy_mj).sum();
-        let settlement = driver.settle_all().expect("all channels settle");
+        let fleet_energy_mj: f64 = fleet.sensor_summaries().iter().map(|s| s.energy_mj).sum();
+        let settlement = fleet.settle_all().expect("all channels settle");
         let snapshot = tracer.snapshot().expect("recording tracer snapshots");
         if index == 0 {
             jsonl = snapshot.to_jsonl();
@@ -1535,7 +1536,7 @@ pub fn faults_experiment() -> FaultsExperiment {
     let counter = |name: &str| snapshot.metrics.counter(name);
 
     // --- Fleet lane -----------------------------------------------------
-    let mut fleet = GatewayDriver::new(4, LinkConfig::default(), Wei::from(1_000_000u64));
+    let mut fleet = FleetScheduler::new(FleetConfig::single_slot(4));
     fleet.open_all().expect("fleet channels open");
     fleet
         .set_sensor_faults(
@@ -1554,7 +1555,7 @@ pub fn faults_experiment() -> FaultsExperiment {
     fleet
         .run(2, Wei::from(500u64))
         .expect("the fleet keeps paying around the partition");
-    for _ in 0..tinyevm_channel::QUARANTINE_THRESHOLD {
+    for _ in 0..QUARANTINE_THRESHOLD {
         let result = fleet.pay(2, Wei::from(50_000_000u64));
         assert!(result.is_err(), "an overdraw must be refused");
     }

@@ -24,14 +24,15 @@
 //! endpoints can be driven with nothing but an in-memory message queue.
 //!
 //! [`ProtocolDriver`] (one sender, one receiver, one `tinyevm_net::Link`)
-//! and [`GatewayDriver`] (N sensors multiplexed by one gateway endpoint
-//! over a `tinyevm_net::SharedMedium`) are thin *pumps* around those
-//! endpoints: they own the chain and the transport, shuttle encoded
-//! messages, and collect the timing and energy measurements behind the
-//! paper's Table IV / Figure 5 and the headline "584 ms per off-chain
-//! payment". Sessions persist to disk and resume after a power cycle
-//! ([`ProtocolDriver::save_session`] /
-//! [`ProtocolDriver::restore_session`]).
+//! is a thin *pump* around two endpoints: it owns the chain and the
+//! transport, shuttles encoded messages, and collects the timing and
+//! energy measurements behind the paper's Table IV / Figure 5 and the
+//! headline "584 ms per off-chain payment". Sessions persist to disk and
+//! resume after a power cycle ([`ProtocolDriver::save_session`] /
+//! [`ProtocolDriver::restore_session`]). Fleets — N sensors paying one
+//! gateway endpoint that multiplexes them all — are driven by
+//! `tinyevm-sim`'s `FleetScheduler` through the same endpoints and the
+//! same contention-free pump ([`pump_contention_free`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,6 @@
 pub mod channel;
 pub mod contracts;
 pub mod endpoint;
-pub mod gateway;
 pub mod payment;
 pub mod protocol;
 pub mod sidechain;
@@ -48,10 +48,6 @@ pub use channel::{ChannelConfig, ChannelError, ChannelRole, ChannelStatus, Payme
 pub use endpoint::{
     ChannelEndpoint, ChannelRegistration, Effect, EndpointError, EndpointProfile, Envelope,
     PaymentReceipt, RetryPolicy,
-};
-pub use gateway::{
-    Gateway, GatewayDriver, GatewayRoundReport, GatewaySettlementReport, SensorHealth, SensorNode,
-    SensorSummary, QUARANTINE_THRESHOLD,
 };
 pub use payment::{PaymentError, SignedPayment};
 pub use protocol::{

@@ -86,7 +86,7 @@ pub enum ProtocolError {
         node: NodeAddr,
     },
     /// The gateway refuses to run rounds with a quarantined sensor (see
-    /// [`crate::gateway::SensorHealth`]).
+    /// `tinyevm_sim::SensorHealth`).
     Quarantined {
         /// The quarantined sensor.
         sensor: NodeAddr,
@@ -265,11 +265,11 @@ pub(crate) fn pump_pair<R: Radio>(
 }
 
 /// The contention-free single-slot pump: shuttles messages between one
-/// endpoint pair until both outboxes drain, exactly as the lockstep
-/// drivers do. Public so event-driven fleet schedulers (`tinyevm-sim`)
-/// running a contention-free single-slot configuration delegate to the
-/// *same* code path as [`GatewayDriver`](crate::GatewayDriver) /
-/// [`ProtocolDriver`] — the equivalence tests pin the two byte-identical.
+/// endpoint pair until both outboxes drain, exactly as
+/// [`ProtocolDriver`] does. Public so the fleet scheduler of
+/// `tinyevm-sim` runs its single-slot schedule — one sensor's whole round
+/// at a time — through the *same* code path; the driver-equivalence
+/// goldens pin both.
 ///
 /// # Errors
 ///

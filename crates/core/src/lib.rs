@@ -65,7 +65,7 @@ pub mod scenario;
 pub mod prelude {
     pub use tinyevm_chain::{Blockchain, TemplateConfig, TemplateContract};
     pub use tinyevm_channel::{
-        ChannelRole, GatewayDriver, OffChainNode, PaymentChannel, ProtocolDriver, SignedPayment,
+        ChannelRole, OffChainNode, PaymentChannel, ProtocolDriver, SignedPayment,
     };
     pub use tinyevm_corpus::{realistic_7000, CorpusConfig};
     pub use tinyevm_crypto::secp256k1::PrivateKey;
@@ -73,6 +73,7 @@ pub mod prelude {
     pub use tinyevm_device::{Device, EnergyMeter, Mcu, PowerState};
     pub use tinyevm_evm::{asm, deploy, Evm, EvmConfig, Opcode};
     pub use tinyevm_net::{Link, LinkConfig, LinkProfile, NodeAddr, SharedMedium};
+    pub use tinyevm_sim::{FleetConfig, FleetScheduler};
     pub use tinyevm_trace::{TraceHandle, TraceSnapshot};
     pub use tinyevm_types::{Address, Wei, H256, U256};
     pub use tinyevm_wire::{ChainSnapshot, ChannelSnapshot, Message, WireError};

@@ -19,9 +19,8 @@
 //!   (drawn from each sender's own seeded process), as real 802.15.4
 //!   receivers do.
 //! * **Single-slot** — a degenerate contention-free mode that hands every
-//!   slot to the lowest-addressed ready sender: exactly the TSCH-style
-//!   serialization the legacy drivers assume, used to pin the new
-//!   scheduler byte-identical to the old pump.
+//!   slot to the lowest-addressed ready sender: the TSCH-style lockstep
+//!   serialization the driver-equivalence goldens pin.
 //!
 //! Collisions waste the slot: the wasted airtime is accounted on the
 //! medium (never attributed to an endpoint), so the conservation invariant
@@ -48,8 +47,8 @@ use tinyevm_trace::{TraceEvent, TraceHandle};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessScheme {
     /// Contention-free: the lowest-addressed ready sender owns the slot.
-    /// No randomness, no backoff — the TSCH-style serialization the
-    /// legacy lockstep pumps assume.
+    /// No randomness, no backoff — the TSCH-style lockstep
+    /// serialization.
     SingleSlot,
     /// Slotted ALOHA: each ready sender transmits with probability
     /// `tx_probability` per slot; overlaps collide.

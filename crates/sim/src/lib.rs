@@ -18,17 +18,24 @@
 //! clock.
 //!
 //! The contention-free [`single-slot`](tinyevm_net::AccessScheme::SingleSlot)
-//! configuration degenerates to the exact lockstep schedule of
-//! [`tinyevm_channel::GatewayDriver`] — the equivalence tests pin the two
-//! byte-identical — so one implementation serves both the paper's
-//! two-party measurements and 1024-sensor contention sweeps.
+//! configuration is the lockstep schedule — one sensor's whole round at a
+//! time — that the driver-equivalence goldens pin, so one implementation
+//! serves both the paper's fleet measurements and 1024-sensor contention
+//! sweeps. [`FleetScheduler`] is the repository's only fleet driver: it
+//! also tracks per-sensor health (degradation and quarantine), injects
+//! per-sensor faults, and saves and restores whole fleet sessions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod gateway;
 pub mod scheduler;
 
 pub use event::EventQueue;
+pub use gateway::{
+    GatewayRoundReport, GatewaySettlementReport, SensorHealth, SensorSummary, GATEWAY_ADDR,
+    QUARANTINE_THRESHOLD,
+};
 pub use scheduler::{FleetConfig, FleetReport, FleetScheduler};
 pub use tinyevm_device::SimTime;

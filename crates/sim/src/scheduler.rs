@@ -1,29 +1,26 @@
 //! The fleet scheduler: N sensor endpoints against one gateway, driven by
-//! a virtual-clock event loop over a contending medium.
+//! a virtual-clock event loop over a contending medium — the repository's
+//! one fleet driver.
 //!
-//! The legacy [`GatewayDriver`](tinyevm_channel::GatewayDriver) pumps one
-//! sensor's *entire* round before the next sensor may speak — fleet
-//! latency is a straight N× sum and nothing ever contends. The sans-IO
-//! [`ChannelEndpoint`]s have always permitted more: wire messages in,
-//! envelopes out, no transport assumptions. [`FleetScheduler`] exploits
-//! that. Every sensor starts its payment round at once; their frames
-//! contend slot by slot on a [`ContendingMedium`]; deliveries are discrete
-//! events on an [`EventQueue`] keyed by `(time_ns, seq)`; the gateway is a
-//! serial server whose per-peer RX queues are bounded (overflow frames are
-//! shed and counted, and the senders' stall-retransmit machinery recovers
-//! them). Endpoint `wait()` pacing, retry backoff deadlines and
-//! crypto/processing costs all advance the same virtual clocks, so a run
-//! is reproducible byte for byte.
-//!
+//! The sans-IO [`ChannelEndpoint`]s take wire messages in and put
+//! envelopes out, with no transport assumptions. [`FleetScheduler`] owns
+//! the chain, the medium and the endpoints, and schedules their traffic.
 //! Two schedules share one implementation:
 //!
-//! * [`AccessScheme::SingleSlot`] — contention-free: each sensor's round
-//!   runs to completion through the *same*
-//!   [`pump_contention_free`] code path the lockstep drivers use, so this
-//!   configuration is byte-identical to [`GatewayDriver`] (pinned by the
-//!   equivalence tests).
-//! * [`AccessScheme::SlottedAloha`] / [`AccessScheme::CsmaCa`] — the
-//!   event-driven interleaved schedule described above.
+//! * [`AccessScheme::SingleSlot`] — contention-free lockstep: one sensor
+//!   owns the whole medium until its round completes, then the next sensor
+//!   in address order speaks, through the shared [`pump_contention_free`]
+//!   code path. Fleet latency is a straight N× sum and nothing contends.
+//!   This is the schedule the driver-equivalence goldens pin.
+//! * [`AccessScheme::SlottedAloha`] / [`AccessScheme::CsmaCa`] — every
+//!   sensor starts its payment round at once; their frames contend slot by
+//!   slot on a [`ContendingMedium`]; deliveries are discrete events on an
+//!   [`EventQueue`](crate::EventQueue) keyed by `(time_ns, seq)`; the
+//!   gateway is a serial server whose per-peer RX queues are bounded
+//!   (overflow frames are shed and counted, and the senders'
+//!   stall-retransmit machinery recovers them). Endpoint `wait()` pacing,
+//!   retry backoff deadlines and crypto/processing costs all advance the
+//!   same virtual clocks, so a run is reproducible byte for byte.
 //!
 //! Intent phases that are pure per-sensor computation (signing a payment,
 //! signing a close) are sharded across `jobs` worker threads between event
@@ -33,25 +30,38 @@
 //! Uplink frames contend; gateway replies ride dedicated coordinator
 //! downlink slots (as a TSCH schedule would provision), so acknowledgement
 //! traffic cannot be starved by a large uplink backlog.
+//!
+//! The gateway tracks every sensor's health: transport trouble degrades a
+//! sensor until its next clean round, and [`QUARANTINE_THRESHOLD`]
+//! protocol violations quarantine it, excluding it from further rounds
+//! and from settlement without blocking the rest of the fleet. The whole
+//! multi-session state — chain plus 2 × N channel endpoints — persists as
+//! one wire-format file and restores after a power cycle
+//! ([`FleetScheduler::save_session`] / [`FleetScheduler::restore_session`]).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::path::Path;
 use std::time::Duration;
 
 use tinyevm_chain::{Blockchain, TemplateConfig};
-use tinyevm_channel::gateway::{
-    GatewayRoundReport, GatewaySettlementReport, SensorHealth, GATEWAY_ADDR, QUARANTINE_THRESHOLD,
-};
 use tinyevm_channel::{
     pump_contention_free, ChannelEndpoint, ChannelError, ChannelRegistration, Effect,
-    EndpointError, Envelope, PaymentError, ProtocolError, RetryPolicy,
+    EndpointError, Envelope, PaymentChannel, PaymentError, PaymentReceipt, ProtocolError,
+    RetryPolicy,
 };
 use tinyevm_device::SimTime;
 use tinyevm_net::{
-    AccessScheme, ContendingMedium, ContentionConfig, LinkConfig, MediumError, NodeAddr, Radio,
-    SlotOutcome, DEFAULT_RX_QUEUE_CAPACITY,
+    AccessScheme, ContendingMedium, ContentionConfig, FaultConfig, LinkConfig, MediumError,
+    NodeAddr, Radio, SlotOutcome, DEFAULT_RX_QUEUE_CAPACITY,
 };
 use tinyevm_trace::TraceHandle;
-use tinyevm_types::{Wei, H256};
+use tinyevm_types::{Address, Wei, H256};
+use tinyevm_wire::{persist, ChainSnapshot, ChannelSnapshot, EndpointRole, Message, WireError};
+
+use crate::gateway::{
+    classify, FaultClass, GatewayRoundReport, GatewaySettlementReport, SensorHealth, SensorSummary,
+    GATEWAY_ADDR, QUARANTINE_THRESHOLD,
+};
 
 /// Hard ceiling on contention slots per drive phase — a deterministic
 /// backstop that turns a scheduling bug into a typed error instead of an
@@ -66,9 +76,7 @@ pub struct FleetConfig {
     /// [`GATEWAY_ADDR`] for fleets that fit below it, `N + 1` beyond).
     pub sensors: usize,
     /// Base link configuration (bit rate, loss, retries; per-endpoint
-    /// seeds are derived exactly as [`GatewayDriver`] derives them).
-    ///
-    /// [`GatewayDriver`]: tinyevm_channel::GatewayDriver
+    /// loss seeds derive from its seed and the endpoint address).
     pub link: LinkConfig,
     /// Deposit locked per channel.
     pub deposit: Wei,
@@ -181,6 +189,20 @@ enum SimEvent {
 }
 
 /// The discrete-event fleet scheduler — see the module docs.
+///
+/// # Example
+///
+/// ```
+/// use tinyevm_sim::{FleetConfig, FleetScheduler};
+/// use tinyevm_types::Wei;
+///
+/// let mut fleet = FleetScheduler::new(FleetConfig::single_slot(4));
+/// fleet.open_all().unwrap();
+/// fleet.run(2, Wei::from(1_000u64)).unwrap();
+/// let report = fleet.settle_all().unwrap();
+/// assert_eq!(report.settlements.len(), 4);
+/// assert_eq!(report.total_to_gateway, Wei::from(8_000u64));
+/// ```
 #[derive(Debug)]
 pub struct FleetScheduler {
     config: FleetConfig,
@@ -205,31 +227,13 @@ pub struct FleetScheduler {
     queued_wire_sizes: BTreeMap<NodeAddr, VecDeque<usize>>,
     health: Vec<(SensorHealth, u32)>,
     rounds: Vec<GatewayRoundReport>,
+    /// Per sensor: payment rounds completed, bumped with every push onto
+    /// `rounds`.
+    completed: Vec<u64>,
     aborted_rounds: u64,
     uplink_conveys: u64,
     opened: bool,
     tracer: TraceHandle,
-}
-
-/// How a fault reflects on the sensor that caused it — the same
-/// classification [`GatewayDriver`](tinyevm_channel::GatewayDriver) uses.
-enum FaultClass {
-    Violation,
-    Transport,
-    Fatal,
-}
-
-fn classify(error: &ProtocolError) -> FaultClass {
-    match error {
-        ProtocolError::BadSignature
-        | ProtocolError::Channel(_)
-        | ProtocolError::UnexpectedMessage { .. }
-        | ProtocolError::Endpoint(EndpointError::ProposalMismatch(_)) => FaultClass::Violation,
-        ProtocolError::Link(_)
-        | ProtocolError::Medium(_)
-        | ProtocolError::Endpoint(EndpointError::RoundAborted { .. }) => FaultClass::Transport,
-        _ => FaultClass::Fatal,
-    }
 }
 
 /// True for the wire-level failures the shared pump drops silently: the
@@ -249,10 +253,7 @@ impl FleetScheduler {
     /// Builds the fleet: N sensor endpoints (addresses `1..=N`), one
     /// gateway endpoint (at [`GATEWAY_ADDR`] when the fleet fits below
     /// it, at address `N + 1` for larger sweeps), a contending medium and
-    /// a fresh funded chain — for fleets below [`GATEWAY_ADDR`] the exact
-    /// topology [`GatewayDriver::new`](tinyevm_channel::GatewayDriver::new)
-    /// builds, so the single-slot configuration reproduces it byte for
-    /// byte.
+    /// a fresh chain funding each sensor's deposit.
     ///
     /// # Panics
     ///
@@ -324,6 +325,7 @@ impl FleetScheduler {
             queued_wire_sizes: BTreeMap::new(),
             health: vec![(SensorHealth::Healthy, 0); count],
             rounds: Vec::new(),
+            completed: vec![0; count],
             aborted_rounds: 0,
             uplink_conveys: 0,
             opened: false,
@@ -512,7 +514,7 @@ impl FleetScheduler {
             return Err(ProtocolError::OutOfOrder("channels are already open"));
         }
         let gateway_account = self.gateway.account();
-        let single_slot = matches!(self.config.contention.scheme, AccessScheme::SingleSlot);
+        let single_slot = self.single_slot();
         for index in 0..self.sensors.len() {
             let sensor_account = self.sensors[index].account();
             let sensor_addr = self.sensors[index].addr();
@@ -555,41 +557,58 @@ impl FleetScheduler {
 
     /// Runs `rounds` fleet-wide payment rounds of `amount` each. Under
     /// contention every healthy sensor's round is in flight at once;
-    /// single-slot mode pays in address order exactly like the lockstep
-    /// driver. Per-sensor faults degrade or quarantine the sensor and
-    /// never block the rest of the fleet.
+    /// single-slot mode pays in address order, one sensor at a time.
+    /// Per-sensor faults degrade or quarantine the sensor and never block
+    /// the rest of the fleet.
     ///
     /// # Errors
     ///
     /// Propagates the first driver-level error (out-of-order use, chain
     /// trouble) — per-sensor faults are absorbed into the health state.
     pub fn run(&mut self, rounds: usize, amount: Wei) -> Result<(), ProtocolError> {
-        if matches!(self.config.contention.scheme, AccessScheme::SingleSlot) {
-            return self.run_lockstep(rounds, amount);
-        }
         for _ in 0..rounds {
-            self.run_contended_round(amount)?;
+            if self.single_slot() {
+                self.run_lockstep_round(amount)?;
+            } else {
+                self.run_contended_round(amount)?;
+            }
         }
         Ok(())
     }
 
-    /// One sensor's payment round on its own — the single-sensor analogue
-    /// of [`GatewayDriver::pay`](tinyevm_channel::GatewayDriver::pay).
-    /// Under a contended scheme the round still runs the event loop with
-    /// only this sensor active on the medium. Faults are recorded against
-    /// the sensor's health exactly as fleet rounds record them, so
-    /// repeated violations (an overdrawing sensor, say) quarantine it.
+    /// One payment round of sensor `index` on its own. Under a contended
+    /// scheme the round still runs the event loop with only this sensor
+    /// active on the medium. Faults are recorded against the sensor's
+    /// health exactly as fleet rounds record them, so repeated violations
+    /// (an overdrawing sensor, say) quarantine it.
     ///
     /// # Errors
     ///
-    /// Returns the per-sensor fault (already recorded) or a driver-level
-    /// error.
+    /// Returns [`ProtocolError::OutOfOrder`] for an out-of-range index or
+    /// before [`FleetScheduler::open_all`], [`ProtocolError::Quarantined`]
+    /// for a quarantined sensor, and otherwise the per-sensor fault
+    /// (already recorded) or a driver-level error.
     pub fn pay(&mut self, index: usize, amount: Wei) -> Result<(), ProtocolError> {
-        if matches!(self.config.contention.scheme, AccessScheme::SingleSlot) {
-            return self.pay_lockstep(index, amount);
+        let Some(&(health, _)) = self.health.get(index) else {
+            return Err(ProtocolError::OutOfOrder("no such sensor"));
+        };
+        if health == SensorHealth::Quarantined {
+            return Err(ProtocolError::Quarantined {
+                sensor: self.sensors[index].addr(),
+            });
         }
-        let result = self.pay_contended_one(index, amount);
+        let before = self.completed[index];
+        let mut result = if self.single_slot() {
+            self.pay_single(index, amount)
+        } else {
+            self.pay_contended_one(index, amount)
+        };
+        if result.is_ok() && self.completed[index] == before {
+            result = Err(ProtocolError::OutOfOrder("payment round did not complete"));
+        }
         match &result {
+            // A clean round clears a transport-degraded state; recorded
+            // violations are not forgiven.
             Ok(()) => {
                 if self.health[index].0 == SensorHealth::Degraded {
                     self.health[index].0 = SensorHealth::Healthy;
@@ -601,25 +620,18 @@ impl FleetScheduler {
     }
 
     fn pay_contended_one(&mut self, index: usize, amount: Wei) -> Result<(), ProtocolError> {
-        let before = self.completed_per_sensor();
         self.sensors[index].pay(self.gateway_addr, amount)?;
         self.round_bytes[index] = 0;
         let mut active = BTreeSet::from([index]);
-        self.drive(&mut active)?;
-        let after = self.completed_per_sensor();
-        if after[index] > before[index] {
-            Ok(())
-        } else {
-            Err(ProtocolError::OutOfOrder("payment round did not complete"))
-        }
+        self.drive(&mut active)
     }
 
-    /// Closes and settles every non-quarantined channel on the chain —
+    /// Closes and settles every non-quarantined channel on the chain:
     /// close handshakes ride the configured schedule, then the gateway
-    /// batch-verifies all closing signatures and the chain settles each
-    /// template after one shared challenge period (the
-    /// [`GatewayDriver::settle_all`](tinyevm_channel::GatewayDriver::settle_all)
-    /// flow).
+    /// verifies **all closing signatures in one batched multi-scalar
+    /// pass**, counter-signs, and the chain settles each template after
+    /// one shared challenge period. Quarantined channels stay open (a
+    /// later on-chain challenge can still settle them unilaterally).
     ///
     /// # Errors
     ///
@@ -627,7 +639,7 @@ impl FleetScheduler {
     /// the chain's rejection.
     pub fn settle_all(&mut self) -> Result<GatewaySettlementReport, ProtocolError> {
         let gateway_account = self.gateway.account();
-        if matches!(self.config.contention.scheme, AccessScheme::SingleSlot) {
+        if self.single_slot() {
             for index in 0..self.sensors.len() {
                 if self.health[index].0 == SensorHealth::Quarantined {
                     continue;
@@ -673,6 +685,8 @@ impl FleetScheduler {
             self.chain.start_exit(gateway_account, template)?;
             templates.push((peer, template));
         }
+        // One shared challenge period covers every exit (all templates use
+        // the same period), then each settles individually.
         self.chain.advance_blocks(11);
         let mut settlements = Vec::with_capacity(templates.len());
         let mut total_to_gateway = Wei::ZERO;
@@ -689,10 +703,212 @@ impl FleetScheduler {
         })
     }
 
-    // --- single-slot (lockstep-equivalent) path --------------------------
+    // --- health, faults and summaries ------------------------------------
 
-    /// One sensor's turn owning the whole medium: the same shared pump the
-    /// lockstep drivers call.
+    /// Installs a fault plan on one sensor's uplink/downlink (see
+    /// [`FaultConfig`]); the rest of the fleet is untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::OutOfOrder`] for an out-of-range index and
+    /// [`ProtocolError::Medium`] for an invalid configuration.
+    pub fn set_sensor_faults(
+        &mut self,
+        index: usize,
+        config: FaultConfig,
+    ) -> Result<(), ProtocolError> {
+        let addr = self.sensor_addr(index)?;
+        self.medium.inner_mut().set_faults(addr, config)?;
+        Ok(())
+    }
+
+    /// Removes any fault plan from one sensor's endpoint on the medium.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::OutOfOrder`] for an out-of-range index.
+    pub fn clear_sensor_faults(&mut self, index: usize) -> Result<(), ProtocolError> {
+        let addr = self.sensor_addr(index)?;
+        self.medium.inner_mut().clear_faults(addr)?;
+        Ok(())
+    }
+
+    /// Per-sensor summary rows, in address order.
+    pub fn sensor_summaries(&self) -> Vec<SensorSummary> {
+        self.sensors
+            .iter()
+            .zip(&self.health)
+            .map(|(sensor, &(health, violations))| {
+                let latencies = sensor.latencies(self.gateway_addr).unwrap_or(&[]);
+                let mean_latency = if latencies.is_empty() {
+                    Duration::ZERO
+                } else {
+                    latencies.iter().sum::<Duration>() / latencies.len() as u32
+                };
+                let channel = sensor.channel(self.gateway_addr);
+                SensorSummary {
+                    addr: sensor.addr(),
+                    account: sensor.account(),
+                    payments: channel.map(PaymentChannel::payments_seen).unwrap_or(0),
+                    paid: channel.map(PaymentChannel::cumulative).unwrap_or(Wei::ZERO),
+                    mean_latency,
+                    energy_mj: sensor.device().energy_report().total_energy_mj(),
+                    wire: self
+                        .medium
+                        .stats(sensor.addr())
+                        .cloned()
+                        .unwrap_or_default(),
+                    health,
+                    violations,
+                }
+            })
+            .collect()
+    }
+
+    // --- persistence -----------------------------------------------------
+
+    /// Writes the whole multi-session state — the chain plus both
+    /// endpoints of every channel — to one wire-format persistence file.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::OutOfOrder`] before channels are open and
+    /// [`ProtocolError::Wire`] on filesystem failure.
+    pub fn save_session(&self, path: &Path) -> Result<(), ProtocolError> {
+        let mut messages = Vec::with_capacity(1 + 2 * self.sensors.len());
+        messages.push(Message::ChainSnapshot(ChainSnapshot::capture(&self.chain)));
+        for sensor in &self.sensors {
+            let sensor_snapshot = sensor
+                .snapshot(self.gateway_addr)
+                .ok_or(ProtocolError::OutOfOrder("open_all first"))?;
+            messages.push(Message::ChannelSnapshot(sensor_snapshot));
+            let gateway_snapshot = self
+                .gateway
+                .snapshot(sensor.addr())
+                .ok_or(ProtocolError::OutOfOrder("open_all first"))?;
+            messages.push(Message::ChannelSnapshot(gateway_snapshot));
+        }
+        persist::write_messages(path, &messages)?;
+        Ok(())
+    }
+
+    /// Restores a session saved by [`FleetScheduler::save_session`] into
+    /// this fleet (which must have the same size and device identities).
+    /// The file is validated as a whole before any state changes: the
+    /// chain snapshot must be present, every sensor must have a sender and
+    /// a receiver snapshot agreeing on the channel, and all templates must
+    /// exist on the restored chain. Measurement history
+    /// ([`FleetScheduler::rounds`], aborted rounds, per-sensor latencies)
+    /// is cleared — it belongs to the process that was lost in the power
+    /// cycle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::Wire`] for unreadable, incomplete,
+    /// tampered or foreign files and a device error when a channel
+    /// contract cannot be re-created.
+    pub fn restore_session(&mut self, path: &Path) -> Result<(), ProtocolError> {
+        let mut chain = None;
+        let mut senders: BTreeMap<Address, ChannelSnapshot> = BTreeMap::new();
+        let mut receivers: BTreeMap<Address, ChannelSnapshot> = BTreeMap::new();
+        for message in persist::read_messages(path)? {
+            match message {
+                Message::ChainSnapshot(snapshot) => chain = Some(snapshot.restore()?),
+                Message::ChannelSnapshot(snapshot) => {
+                    let by_party = match snapshot.role {
+                        EndpointRole::Sender => &mut senders,
+                        EndpointRole::Receiver => &mut receivers,
+                    };
+                    by_party.insert(snapshot.sender, snapshot);
+                }
+                other => {
+                    return Err(ProtocolError::UnexpectedMessage {
+                        expected: "snapshot",
+                        got: other.label(),
+                    })
+                }
+            }
+        }
+        let Some(chain) = chain else {
+            return Err(ProtocolError::Wire(WireError::Truncated));
+        };
+        if senders.len() != self.sensors.len() || receivers.len() != self.sensors.len() {
+            return Err(ProtocolError::Wire(WireError::Truncated));
+        }
+        // Validate and decode everything before committing any state.
+        let gateway_account = self.gateway.account();
+        for sensor in &self.sensors {
+            let account = sensor.account();
+            let (Some(sender_snapshot), Some(receiver_snapshot)) =
+                (senders.get(&account), receivers.get(&account))
+            else {
+                return Err(ProtocolError::Wire(WireError::Value(
+                    "snapshot is missing a fleet device's channel",
+                )));
+            };
+            if sender_snapshot.template != receiver_snapshot.template
+                || sender_snapshot.channel_id != receiver_snapshot.channel_id
+                || sender_snapshot.receiver != receiver_snapshot.receiver
+                || sender_snapshot.deposit_cap != receiver_snapshot.deposit_cap
+            {
+                return Err(ProtocolError::Wire(WireError::Value(
+                    "endpoint snapshots describe different channels",
+                )));
+            }
+            if sender_snapshot.receiver != gateway_account {
+                return Err(ProtocolError::Wire(WireError::Value(
+                    "snapshot belongs to a different gateway",
+                )));
+            }
+            if chain.template(&sender_snapshot.template).is_none() {
+                return Err(ProtocolError::Wire(WireError::Value(
+                    "snapshot template is not on the restored chain",
+                )));
+            }
+            PaymentChannel::restore(sender_snapshot)?;
+            PaymentChannel::restore(receiver_snapshot)?;
+        }
+
+        // Commit. Measurement history describes the life of *this*
+        // process, not the restored session — a power cycle loses it, so
+        // it is cleared rather than left to mix stale numbers with
+        // restored channels. Device meters and medium statistics likewise
+        // keep counting from boot; the contract re-creations below are
+        // part of that boot cost, exactly as on real flash-restored
+        // hardware.
+        self.chain = chain;
+        self.rounds.clear();
+        self.completed.fill(0);
+        self.aborted_rounds = 0;
+        // Health is the gateway process's volatile protection state; a
+        // power cycle starts every sensor back at Healthy.
+        self.health.fill((SensorHealth::Healthy, 0));
+        let stale_peers: Vec<NodeAddr> = self.gateway.peers().collect();
+        for peer in stale_peers {
+            self.gateway.drop_session(peer);
+        }
+        for sensor in &mut self.sensors {
+            let account = sensor.account();
+            let sensor_addr = sensor.addr();
+            sensor.drop_session(self.gateway_addr);
+            sensor.install_snapshot(self.gateway_addr, &senders[&account])?;
+            sensor.ensure_contract(self.gateway_addr)?;
+            self.gateway
+                .install_snapshot(sensor_addr, &receivers[&account])?;
+            self.gateway.ensure_contract(sensor_addr)?;
+        }
+        self.opened = true;
+        Ok(())
+    }
+
+    // --- single-slot (lockstep) path -------------------------------------
+
+    fn single_slot(&self) -> bool {
+        matches!(self.config.contention.scheme, AccessScheme::SingleSlot)
+    }
+
+    /// One sensor's turn owning the whole medium: the shared
+    /// contention-free pump.
     fn pump_single(&mut self, index: usize) -> Result<tinyevm_channel::PumpLog, ProtocolError> {
         pump_contention_free(
             self.medium.inner_mut(),
@@ -701,61 +917,29 @@ impl FleetScheduler {
         )
     }
 
-    fn run_lockstep(&mut self, rounds: usize, amount: Wei) -> Result<(), ProtocolError> {
-        for _ in 0..rounds {
-            for index in 0..self.sensors.len() {
-                if self.health[index].0 == SensorHealth::Quarantined {
-                    continue;
-                }
-                match self.pay_lockstep(index, amount) {
-                    Ok(_) => {}
-                    Err(error) => match classify(&error) {
-                        FaultClass::Violation | FaultClass::Transport => continue,
-                        FaultClass::Fatal => return Err(error),
-                    },
+    fn run_lockstep_round(&mut self, amount: Wei) -> Result<(), ProtocolError> {
+        for index in 0..self.sensors.len() {
+            if self.health[index].0 == SensorHealth::Quarantined {
+                continue;
+            }
+            if let Err(error) = self.pay(index, amount) {
+                if matches!(classify(&error), FaultClass::Fatal) {
+                    return Err(error);
                 }
             }
         }
         Ok(())
     }
 
-    fn pay_lockstep(&mut self, index: usize, amount: Wei) -> Result<(), ProtocolError> {
-        let result = self.pay_lockstep_inner(index, amount);
-        match &result {
-            Ok(()) => {
-                if self.health[index].0 == SensorHealth::Degraded {
-                    self.health[index].0 = SensorHealth::Healthy;
-                }
-            }
-            Err(error) => self.record_fault(index, error),
-        }
-        result
-    }
-
-    fn pay_lockstep_inner(&mut self, index: usize, amount: Wei) -> Result<(), ProtocolError> {
-        let sensor_addr = self.sensors[index].addr();
+    fn pay_single(&mut self, index: usize, amount: Wei) -> Result<(), ProtocolError> {
         self.sensors[index].pay(self.gateway_addr, amount)?;
         let log = self.pump_single(index)?;
-        let receipt = log
-            .effects
-            .iter()
-            .find_map(|(_, effect)| match effect {
-                Effect::PaymentCompleted { receipt, .. } => Some(receipt.clone()),
-                _ => None,
-            })
-            .ok_or(ProtocolError::OutOfOrder("payment round did not complete"))?;
-        let report = GatewayRoundReport {
-            sensor: sensor_addr,
-            sequence: receipt.sequence,
-            cumulative: receipt.cumulative,
-            end_to_end_latency: receipt.end_to_end_latency,
-            bytes_exchanged: log.wire_bytes(),
-        };
-        self.tracer.observe(
-            "driver.round_latency_ms",
-            receipt.end_to_end_latency.as_secs_f64() * 1_000.0,
-        );
-        self.rounds.push(report);
+        let bytes = log.wire_bytes();
+        for (_, effect) in &log.effects {
+            if let Effect::PaymentCompleted { receipt, .. } = effect {
+                self.complete_round(index, receipt, bytes);
+            }
+        }
         Ok(())
     }
 
@@ -778,7 +962,7 @@ impl FleetScheduler {
             }
         });
         let mut active = BTreeSet::new();
-        let before = self.completed_per_sensor();
+        let before = self.completed.clone();
         for (index, result) in results.into_iter().enumerate() {
             match result {
                 None => {}
@@ -797,25 +981,29 @@ impl FleetScheduler {
         }
         self.drive(&mut active)?;
         // A sensor that completed its round cleanly recovers from a
-        // transport-degraded state, exactly as the lockstep driver's
-        // per-round bookkeeping does.
-        let after = self.completed_per_sensor();
-        for index in 0..self.sensors.len() {
-            if after[index] > before[index] && self.health[index].0 == SensorHealth::Degraded {
-                self.health[index].0 = SensorHealth::Healthy;
+        // transport-degraded state, as a single-sensor `pay` does.
+        for (index, (health, _)) in self.health.iter_mut().enumerate() {
+            if self.completed[index] > before[index] && *health == SensorHealth::Degraded {
+                *health = SensorHealth::Healthy;
             }
         }
         Ok(())
     }
 
-    fn completed_per_sensor(&self) -> Vec<u64> {
-        let mut completed = vec![0u64; self.sensors.len()];
-        for round in &self.rounds {
-            if let Some(index) = self.index_of(round.sensor) {
-                completed[index] += 1;
-            }
-        }
-        completed
+    /// Books one completed payment round of sensor `index`.
+    fn complete_round(&mut self, index: usize, receipt: &PaymentReceipt, bytes_exchanged: usize) {
+        self.tracer.observe(
+            "driver.round_latency_ms",
+            receipt.end_to_end_latency.as_secs_f64() * 1_000.0,
+        );
+        self.rounds.push(GatewayRoundReport {
+            sensor: self.sensors[index].addr(),
+            sequence: receipt.sequence,
+            cumulative: receipt.cumulative,
+            end_to_end_latency: receipt.end_to_end_latency,
+            bytes_exchanged,
+        });
+        self.completed[index] += 1;
     }
 
     /// Applies one per-sensor intent across the fleet, sharded over
@@ -849,13 +1037,17 @@ impl FleetScheduler {
     }
 
     /// Runs the event loop until every sensor in `active` is quiescent
-    /// (round complete or aborted).
+    /// (round complete or aborted) and the gateway has served every frame
+    /// parked in its RX queues. A sensor goes quiescent as soon as its
+    /// last frame has landed, but the serial gateway may not have
+    /// processed that frame yet; a fire-and-forget close request parked
+    /// there would otherwise be lost to settlement.
     fn drive(&mut self, active: &mut BTreeSet<usize>) -> Result<(), ProtocolError> {
         let slot_limit = self.medium.slots_elapsed() + SLOT_BUDGET;
         self.ensure_slot();
         loop {
             self.prune_quiescent(active);
-            if active.is_empty() {
+            if active.is_empty() && self.medium.inner().rx_queue_depth(self.gateway_addr) == 0 {
                 break;
             }
             if self.medium.slots_elapsed() > slot_limit {
@@ -1181,18 +1373,7 @@ impl FleetScheduler {
             Ok(effects) => {
                 for effect in effects {
                     if let Effect::PaymentCompleted { receipt, .. } = &effect {
-                        let report = GatewayRoundReport {
-                            sensor: sensor_addr,
-                            sequence: receipt.sequence,
-                            cumulative: receipt.cumulative,
-                            end_to_end_latency: receipt.end_to_end_latency,
-                            bytes_exchanged: self.round_bytes[index],
-                        };
-                        self.tracer.observe(
-                            "driver.round_latency_ms",
-                            receipt.end_to_end_latency.as_secs_f64() * 1_000.0,
-                        );
-                        self.rounds.push(report);
+                        self.complete_round(index, receipt, self.round_bytes[index]);
                     }
                 }
             }
@@ -1277,13 +1458,20 @@ impl FleetScheduler {
         }
     }
 
-    /// Inserts the configured idle gap on every device (LPM2), mirroring
-    /// the lockstep driver's pacing after the open phase.
+    /// Inserts the configured idle gap on every device (LPM2) after the
+    /// open phase.
     fn pause_all(&mut self) {
         for sensor in &mut self.sensors {
             sensor.wait(self.idle_gap);
         }
         self.gateway.wait(self.idle_gap);
+    }
+
+    fn sensor_addr(&self, index: usize) -> Result<NodeAddr, ProtocolError> {
+        self.sensors
+            .get(index)
+            .map(ChannelEndpoint::addr)
+            .ok_or(ProtocolError::OutOfOrder("no such sensor"))
     }
 
     fn index_of(&self, addr: NodeAddr) -> Option<usize> {

@@ -84,7 +84,7 @@ fn two_party_storm() {
 /// settlement of the healthy channels.
 fn fleet_degradation() {
     println!("=== fleet degradation: partition + quarantine ===");
-    let mut driver = GatewayDriver::new(4, LinkConfig::default(), Wei::from(1_000_000u64));
+    let mut driver = FleetScheduler::new(FleetConfig::single_slot(4));
     driver.open_all().expect("all channels open");
 
     // Sensor 0 drops off the network entirely.
@@ -106,7 +106,7 @@ fn fleet_degradation() {
 
     // Sensor 2 repeatedly tries to overdraw its deposit — violations, not
     // transport noise — until the gateway quarantines it.
-    for _ in 0..tinyevm::channel::QUARANTINE_THRESHOLD {
+    for _ in 0..tinyevm::sim::QUARANTINE_THRESHOLD {
         let refused = driver.pay(2, Wei::from(50_000_000u64));
         assert!(refused.is_err(), "an overdraw is always refused");
     }

@@ -10,8 +10,7 @@
 //! Everything is seeded and runs on virtual clocks: running this example
 //! twice prints byte-identical numbers, at any worker-thread count.
 
-use tinyevm::channel::QUARANTINE_THRESHOLD;
-use tinyevm::sim::{FleetConfig, FleetScheduler};
+use tinyevm::sim::{FleetConfig, FleetScheduler, QUARANTINE_THRESHOLD};
 use tinyevm::types::Wei;
 
 fn main() {

@@ -8,11 +8,16 @@
 
 use tinyevm::prelude::*;
 
-/// The fleet's radio: TSCH with 5% frame loss and a generous retry budget.
-fn lossy_link() -> LinkConfig {
+/// Six sensors, one lockstep schedule, and a TSCH radio with 5% frame
+/// loss and a generous retry budget.
+fn fleet_config() -> FleetConfig {
     let mut link = LinkConfig::default().with_loss(0.05, 7);
     link.max_retries = 16;
-    link
+    FleetConfig {
+        link,
+        deposit: Wei::from(1_000_000u64),
+        ..FleetConfig::single_slot(6)
+    }
 }
 
 fn main() {
@@ -20,13 +25,13 @@ fn main() {
     // payment channel backed by a 1,000,000-wei deposit, over a TSCH
     // medium with 5% frame loss. Everything is seeded: running this
     // example twice prints byte-identical numbers.
-    let mut driver = GatewayDriver::new(6, lossy_link(), Wei::from(1_000_000u64));
+    let mut driver = FleetScheduler::new(fleet_config());
     driver.open_all().expect("all channels open");
     println!(
         "fleet: {} sensors → gateway {} ({}), one chain, {} templates",
         driver.sensors().len(),
-        driver.gateway().node_addr(),
-        driver.gateway().address(),
+        driver.gateway().addr(),
+        driver.gateway().account(),
         driver.chain().templates().count(),
     );
 
@@ -60,11 +65,12 @@ fn main() {
             summary.wire.retransmissions,
         );
     }
+    let medium = driver.medium().inner();
     println!(
         "medium: {} messages, {} wire bytes, busy {:.1} ms",
-        driver.medium().total_messages(),
-        driver.medium().total_wire_bytes(),
-        driver.medium().total_airtime().as_secs_f64() * 1000.0,
+        medium.total_messages(),
+        medium.total_wire_bytes(),
+        medium.total_airtime().as_secs_f64() * 1000.0,
     );
 
     // The whole multi-session state (chain + 2 × 6 channel endpoints)
@@ -72,7 +78,7 @@ fn main() {
     let mut path = std::env::temp_dir();
     path.push(format!("tinyevm-multi-node-{}.snap", std::process::id()));
     driver.save_session(&path).expect("session persists");
-    let mut resumed = GatewayDriver::new(6, lossy_link(), Wei::from(1_000_000u64));
+    let mut resumed = FleetScheduler::new(fleet_config());
     resumed.restore_session(&path).expect("session restores");
     assert_eq!(resumed.chain().state_root(), driver.chain().state_root());
     println!(

@@ -155,11 +155,10 @@ proptest! {
         // The gateway chain settles every channel to precisely the
         // cumulative amount that sensor paid — no cross-channel leakage.
         let amount = 1_500u64;
-        let mut driver = GatewayDriver::new(
-            sensors,
-            LinkConfig::default(),
-            Wei::from(100_000u64),
-        );
+        let mut driver = FleetScheduler::new(FleetConfig {
+            deposit: Wei::from(100_000u64),
+            ..FleetConfig::single_slot(sensors)
+        });
         driver.open_all().unwrap();
         driver.run(rounds, Wei::from(amount)).unwrap();
         let report = driver.settle_all().unwrap();

@@ -15,9 +15,9 @@
 //!    open for a later unilateral challenge.
 
 use proptest::prelude::*;
-use tinyevm::channel::gateway::GatewayDriver;
-use tinyevm::channel::{CrashSchedule, EndpointError, ProtocolDriver, ProtocolError, SensorHealth};
+use tinyevm::channel::{CrashSchedule, EndpointError, ProtocolDriver, ProtocolError};
 use tinyevm::net::{FaultConfig, LinkConfig, MessageWindow, NodeAddr};
+use tinyevm::sim::{FleetConfig, FleetScheduler, SensorHealth, QUARANTINE_THRESHOLD};
 use tinyevm::types::{Wei, U256};
 
 const DEPOSIT: u64 = 1_000_000;
@@ -202,7 +202,12 @@ fn a_permanently_partitioned_link_aborts_typed_and_recovers_after_repair() {
 /// power cycle of the whole gateway mid-run, then settlement of the
 /// healthy channels.
 fn fleet_cell(faults: FaultConfig, quarantine: bool, power_cycle: bool) {
-    let make = || GatewayDriver::new(3, LinkConfig::default(), Wei::from(DEPOSIT));
+    let make = || {
+        FleetScheduler::new(FleetConfig {
+            deposit: Wei::from(DEPOSIT),
+            ..FleetConfig::single_slot(3)
+        })
+    };
     let mut driver = make();
     driver.open_all().expect("fleet opens");
     driver
@@ -212,7 +217,7 @@ fn fleet_cell(faults: FaultConfig, quarantine: bool, power_cycle: bool) {
         .run(2, Wei::from(500u64))
         .expect("the fleet absorbs transport faults and violations");
     if quarantine {
-        for _ in 0..tinyevm::channel::QUARANTINE_THRESHOLD {
+        for _ in 0..QUARANTINE_THRESHOLD {
             assert!(
                 driver.pay(2, Wei::from(50_000_000u64)).is_err(),
                 "an overdraw is always refused"
