@@ -18,10 +18,8 @@
 //! 256-bit opcode takes "in the order of hundreds of MCU cycles" on the
 //! 32-bit Cortex-M3.
 
-use serde::{Deserialize, Serialize};
-
 /// Functional category of an opcode, following the paper's Table I taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpcodeCategory {
     /// Arithmetic, comparison, bitwise and hashing computations.
     Operation,
@@ -57,7 +55,7 @@ pub struct OpcodeInfo {
 macro_rules! opcodes {
     ($( $name:ident = $byte:expr, $mnemonic:expr, $inputs:expr, $outputs:expr, $category:ident, $cycles:expr, $gas:expr; )*) => {
         /// One EVM / TinyEVM instruction.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[allow(missing_docs)]
         pub enum Opcode {
             $( $name, )*
@@ -320,7 +318,7 @@ impl Opcode {
 }
 
 /// Census of opcode categories, used to regenerate the paper's Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CategoryCensus {
     /// Count of [`OpcodeCategory::Operation`] opcodes.
     pub operation: usize,

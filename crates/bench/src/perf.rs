@@ -621,6 +621,26 @@ impl PerfRecord {
 mod tests {
     use super::*;
 
+    /// Times `a` and `b` alternately (A, B, A, B, ...), `iterations` calls
+    /// per sample, and returns each side's fastest sample in ns per call.
+    /// Alternating exposes both sides to the same machine load, and the
+    /// minimum discards samples that a parallel test run inflated.
+    fn interleaved_min_ns(iterations: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+        fn time(iterations: u32, routine: &mut impl FnMut()) -> f64 {
+            let start = Instant::now();
+            for _ in 0..iterations {
+                routine();
+            }
+            start.elapsed().as_nanos() as f64 / f64::from(iterations)
+        }
+        let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            best_a = best_a.min(time(iterations, &mut a));
+            best_b = best_b.min(time(iterations, &mut b));
+        }
+        (best_a, best_b)
+    }
+
     #[test]
     fn crypto_perf_samples_are_positive_and_ordered() {
         let perf = sample_crypto_perf();
@@ -632,11 +652,41 @@ mod tests {
         assert!(perf.batch_verify_per_sig_ns > 0.0);
         assert!(perf.settle_serial_per_sig_ns > 0.0);
         assert!(perf.settle_batch_per_sig_ns > 0.0);
+
+        // The orderings are re-measured interleaved on the same workloads
+        // `sample_crypto_perf` times: its medians are taken seconds apart,
+        // so load from parallel tests can invert a close pair.
+        let pub_point = *PrivateKey::from_seed(b"bench key").public_key().point();
+        let scalar = Scalar::new(U256::from_be_bytes(keccak256(b"bench scalar")));
         // The fixed-base comb path must beat the variable-base path.
-        assert!(perf.generator_mul_ns < perf.scalar_mul_ns);
+        let (generator_mul_ns, scalar_mul_ns) = interleaved_min_ns(
+            20,
+            || {
+                std::hint::black_box(point::generator_mul(scalar).to_affine());
+            },
+            || {
+                std::hint::black_box(pub_point.scalar_mul(scalar));
+            },
+        );
+        assert!(generator_mul_ns < scalar_mul_ns);
         // One Straus pass over the fleet's closing signatures must beat
         // checking them one at a time.
-        assert!(perf.settle_batch_per_sig_ns < perf.settle_serial_per_sig_ns);
+        let closes = sample_close_batch(8);
+        let (settle_batch_ns, settle_serial_ns) = interleaved_min_ns(
+            4,
+            || {
+                std::hint::black_box(verify_batch(&closes));
+            },
+            || {
+                for item in &closes {
+                    std::hint::black_box(
+                        item.public_key
+                            .verify_prehashed(&item.digest, &item.signature),
+                    );
+                }
+            },
+        );
+        assert!(settle_batch_ns < settle_serial_ns);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use tinyevm_evm::asm::assemble;
 use tinyevm_evm::Opcode;
@@ -12,7 +11,7 @@ use tinyevm_evm::Opcode;
 /// deploy, a minority do heavy storage initialisation, and a small tail
 /// performs enough hashing / computation in the constructor to take seconds
 /// (the Figure 4 outliers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// Almost-empty constructor (tokens deployed behind proxies, stubs).
     Light,
@@ -40,7 +39,7 @@ impl WorkloadClass {
 }
 
 /// One generated contract.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyntheticContract {
     /// Index within the corpus.
     pub id: usize,
@@ -71,7 +70,7 @@ impl SyntheticContract {
 /// assert_eq!(corpus.len(), 25);
 /// assert!(corpus.iter().all(|c| c.size() >= 28));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusConfig {
     /// Number of contracts to generate.
     pub count: usize,

@@ -5,10 +5,8 @@
 //! computes the former and a simple fixed-bin histogram for the latter, so
 //! the bench harness can print both without external dependencies.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of one measured quantity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributionSummary {
     /// Number of samples.
     pub count: usize,

@@ -19,11 +19,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use tinyevm_trace::{TraceEvent, TraceHandle};
 
 /// A power state of the device, in the Energest sense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerState {
     /// CPU active, executing the virtual machine or protocol code.
     CpuActive,
@@ -83,7 +82,7 @@ impl PowerState {
 }
 
 /// One contiguous interval spent in a power state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineEntry {
     /// Offset from the start of the measurement.
     pub start: Duration,
@@ -106,7 +105,7 @@ impl TimelineEntry {
 }
 
 /// Energy figures for one power state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateEnergy {
     /// The state.
     pub state: PowerState,
@@ -119,7 +118,7 @@ pub struct StateEnergy {
 }
 
 /// The full energy report (Table IV equivalent).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
     /// Supply voltage used.
     pub voltage: f64,

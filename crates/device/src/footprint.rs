@@ -7,10 +7,8 @@
 //! that budget so experiments can check whether a given configuration still
 //! fits the part — and regenerate Table III.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of the footprint table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FootprintComponent {
     /// Component name (e.g. "Contiki-NG OS").
     pub name: String,
@@ -21,7 +19,7 @@ pub struct FootprintComponent {
 }
 
 /// The device memory budget and its occupants.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Footprint {
     /// Total RAM of the part, in bytes.
     pub ram_total: usize,

@@ -1,14 +1,12 @@
 //! Virtual-machine resource profiles.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether execution charges gas.
 ///
 /// The paper removes gas charging for off-chain execution — "there is no
 /// charging for the off-chain computations as all operations are executed
 /// locally" — but the on-chain template contract still runs metered on the
 /// simulated main chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GasMode {
     /// No gas accounting; an instruction budget guards against
     /// non-termination instead.
@@ -37,7 +35,7 @@ pub enum GasMode {
 /// let full = EvmConfig::unconstrained();
 /// assert!(full.max_code_size > device.max_code_size);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvmConfig {
     /// Maximum number of 256-bit stack elements. Ethereum specifies 1024;
     /// the CC2538 profile allocates 3 KB = 96 elements.
@@ -84,7 +82,6 @@ pub struct EvmConfig {
     /// uncertifiable (unresolved jump, subcalls) are refused: admission
     /// requires a proof, not the absence of one. `None` (the default)
     /// disables the gate.
-    #[serde(default)]
     pub gas_certificate_budget: Option<u64>,
 }
 

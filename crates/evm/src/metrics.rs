@@ -7,12 +7,12 @@
 //! (Figure 4) and energy (Table IV). [`ExecMetrics`] collects exactly those
 //! observables.
 
-use serde::{Deserialize, Serialize};
+use tinyevm_trace::JsonObject;
 
 use crate::opcode::Opcode;
 
 /// Counters collected during one execution frame (including sub-calls).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecMetrics {
     /// Total instructions retired.
     pub instructions: u64,
@@ -34,7 +34,6 @@ pub struct ExecMetrics {
     /// Number of IoT opcode executions (sensor reads / actuations).
     pub iot_invocations: u64,
     /// Per-opcode execution histogram, indexed by opcode byte.
-    #[serde(with = "serde_bytes_histogram")]
     pub opcode_histogram: [u64; 256],
 }
 
@@ -94,22 +93,23 @@ impl ExecMetrics {
     pub fn stack_bytes(&self) -> usize {
         self.max_stack_pointer * 32
     }
-}
 
-mod serde_bytes_histogram {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(value: &[u64; 256], serializer: S) -> Result<S::Ok, S::Error> {
-        value.as_slice().serialize(serializer)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(deserializer: D) -> Result<[u64; 256], D::Error> {
-        let values: Vec<u64> = Vec::deserialize(deserializer)?;
-        let mut out = [0u64; 256];
-        for (i, v) in values.into_iter().take(256).enumerate() {
-            out[i] = v;
-        }
-        Ok(out)
+    /// Renders the metrics as one JSON object, fields in declaration order
+    /// and the opcode histogram as a 256-entry array. The golden-vector
+    /// suite pins this schema.
+    pub fn to_json(&self) -> String {
+        JsonObject::new()
+            .u64("instructions", self.instructions)
+            .u64("mcu_cycles", self.mcu_cycles)
+            .u64("max_stack_pointer", self.max_stack_pointer as u64)
+            .u64("memory_high_water", self.memory_high_water as u64)
+            .u64("storage_bytes", self.storage_bytes as u64)
+            .u64("gas_used", self.gas_used)
+            .u64("keccak_invocations", self.keccak_invocations)
+            .u64("keccak_bytes", self.keccak_bytes)
+            .u64("iot_invocations", self.iot_invocations)
+            .u64_array("opcode_histogram", &self.opcode_histogram)
+            .finish()
     }
 }
 

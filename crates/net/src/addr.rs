@@ -1,7 +1,5 @@
 //! Link-layer node addressing.
 
-use serde::{Deserialize, Serialize};
-
 /// An IEEE 802.15.4-style short address identifying one node on the
 /// low-power wireless medium.
 ///
@@ -10,9 +8,7 @@ use serde::{Deserialize, Serialize};
 /// and a [`SharedMedium`](crate::SharedMedium) keys its per-endpoint
 /// accounting by them. The inner value is the 16-bit short address that
 /// goes on the air in the frame header.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeAddr(pub u16);
 
 impl NodeAddr {

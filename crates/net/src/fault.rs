@@ -31,14 +31,13 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::NodeAddr;
 use crate::link::LinkError;
 
 /// A half-open window `[from_message, to_message)` of link-local message
 /// indices (the link's transfer counter, starting at 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MessageWindow {
     /// First message index the window covers.
     pub from_message: u64,
@@ -55,7 +54,7 @@ impl MessageWindow {
 
 /// An extra-latency window: messages inside `window` take `extra` longer on
 /// both radios.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DelayWindow {
     /// The message-index window the delay covers.
     pub window: MessageWindow,
@@ -66,7 +65,7 @@ pub struct DelayWindow {
 /// Configuration of a [`FaultPlan`]. All rates are independent per-draw
 /// probabilities in `[0, 1)`; a rate of exactly `0.0` never touches the
 /// RNG, and the windows are deterministic (no RNG at all).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Per-frame probability of 1–3 bit flips in the on-air bytes.
     pub corrupt_rate: f64,

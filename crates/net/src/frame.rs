@@ -1,7 +1,5 @@
 //! 802.15.4-style framing and fragmentation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::NodeAddr;
 
 /// Maximum physical-layer frame size for IEEE 802.15.4.
@@ -102,7 +100,7 @@ impl core::fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 /// One link-layer frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Sender's address.
     pub source: NodeAddr,

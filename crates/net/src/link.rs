@@ -4,7 +4,6 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tinyevm_trace::{TraceEvent, TraceHandle};
 
 use crate::addr::NodeAddr;
@@ -12,7 +11,7 @@ use crate::fault::{FaultConfig, FaultPlan};
 use crate::frame::{fragment, reassemble, wire_bytes_for_message, Frame, FrameError};
 
 /// Built-in link profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkProfile {
     /// IEEE 802.15.4 / TSCH as used by the paper's prototype: 250 kbit/s,
     /// 2 ms per-frame overhead (slot alignment).
@@ -22,7 +21,7 @@ pub enum LinkProfile {
 }
 
 /// Configuration of a [`Link`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkConfig {
     /// Payload bit rate in bits per second.
     pub bitrate: u64,
@@ -161,7 +160,7 @@ impl core::fmt::Display for LinkError {
 impl std::error::Error for LinkError {}
 
 /// Statistics of one message transfer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransferReport {
     /// Application payload bytes carried.
     pub payload_bytes: usize,

@@ -3,21 +3,19 @@
 //! Fields are plain strings and integers (microseconds, bytes, cycle
 //! counts) so the crate sits at the very bottom of the dependency stack —
 //! every layer can emit without `tinyevm-trace` knowing about addresses,
-//! opcodes or power-state enums. Serialization goes through the vendored
-//! serde's `Value` model; [`TraceEvent::to_json`] renders one event as one
-//! JSON object, and a recorded run exports as JSONL (one event per line).
-//! The shape of these objects is schema: the golden-vector suite pins it.
+//! opcodes or power-state enums. [`TraceEvent::to_json`] renders one event
+//! as one JSON object — `"type"` first, then the fields in declaration
+//! order — and a recorded run exports as JSONL (one event per line). The
+//! shape of these objects is schema: the golden-vector suite pins it.
 
-use serde::{Deserialize, Serialize};
-
-use crate::json::value_to_json;
+use crate::json::JsonObject;
 
 /// One structured observation from somewhere in the stack.
 ///
 /// Times are microseconds of *simulated* device/link time (the models are
 /// deterministic), not host wall-clock, so traces are reproducible
 /// byte-for-byte across runs and machines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// One power-state residency interval of a device's energy meter — the
     /// Figure 5 current timeline, one entry per state transition.
@@ -145,8 +143,107 @@ impl TraceEvent {
     /// Renders the event as one JSON object (one JSONL line, without the
     /// trailing newline).
     pub fn to_json(&self) -> String {
-        let value = serde::to_value(self).expect("trace events always serialize");
-        value_to_json(&value)
+        let object = JsonObject::tagged(self.kind());
+        match self {
+            TraceEvent::Power {
+                node,
+                state,
+                start_us,
+                duration_us,
+                current_ma,
+            } => object
+                .str("node", node)
+                .str("state", state)
+                .u64("start_us", *start_us)
+                .u64("duration_us", *duration_us)
+                .f64("current_ma", *current_ma),
+            TraceEvent::FrameTx {
+                from,
+                to,
+                bytes,
+                airtime_us,
+                retransmission,
+            } => object
+                .str("from", from)
+                .str("to", to)
+                .u64("bytes", *bytes)
+                .u64("airtime_us", *airtime_us)
+                .bool("retransmission", *retransmission),
+            TraceEvent::FrameLost { from, to, bytes } => {
+                object.str("from", from).str("to", to).u64("bytes", *bytes)
+            }
+            TraceEvent::Phase {
+                node,
+                peer,
+                phase,
+                sequence,
+                duration_us,
+            } => object
+                .str("node", node)
+                .str("peer", peer)
+                .str("phase", phase)
+                .u64("sequence", *sequence)
+                .u64("duration_us", *duration_us),
+            TraceEvent::Round {
+                node,
+                peer,
+                sequence,
+                cumulative_wei,
+                latency_us,
+            } => object
+                .str("node", node)
+                .str("peer", peer)
+                .u64("sequence", *sequence)
+                .u64("cumulative_wei", *cumulative_wei)
+                .u64("latency_us", *latency_us),
+            TraceEvent::Fault {
+                from,
+                to,
+                fault,
+                message_id,
+            } => object
+                .str("from", from)
+                .str("to", to)
+                .str("fault", fault)
+                .u64("message_id", *message_id),
+            TraceEvent::Collision {
+                slot,
+                contenders,
+                captured,
+            } => object
+                .u64("slot", *slot)
+                .u64("contenders", u64::from(*contenders))
+                .bool("captured", *captured),
+            TraceEvent::Backoff {
+                node,
+                window_slots,
+                wait_slots,
+            } => object
+                .str("node", node)
+                .u64("window_slots", u64::from(*window_slots))
+                .u64("wait_slots", u64::from(*wait_slots)),
+            TraceEvent::ContractCall {
+                outcome,
+                instructions,
+                mcu_cycles,
+                operation_cycles,
+                smart_contract_cycles,
+                memory_cycles,
+                blockchain_cycles,
+                iot_cycles,
+                keccak_invocations,
+            } => object
+                .str("outcome", outcome)
+                .u64("instructions", *instructions)
+                .u64("mcu_cycles", *mcu_cycles)
+                .u64("operation_cycles", *operation_cycles)
+                .u64("smart_contract_cycles", *smart_contract_cycles)
+                .u64("memory_cycles", *memory_cycles)
+                .u64("blockchain_cycles", *blockchain_cycles)
+                .u64("iot_cycles", *iot_cycles)
+                .u64("keccak_invocations", *keccak_invocations),
+        }
+        .finish()
     }
 
     /// The event's variant name, as tagged in the JSON export.
@@ -161,83 +258,6 @@ impl TraceEvent {
             TraceEvent::Collision { .. } => "Collision",
             TraceEvent::Backoff { .. } => "Backoff",
             TraceEvent::ContractCall { .. } => "ContractCall",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_round_trip_through_the_value_model() {
-        let events = [
-            TraceEvent::Power {
-                node: "sender".into(),
-                state: "TX".into(),
-                start_us: 10,
-                duration_us: 25,
-                current_ma: 24.0,
-            },
-            TraceEvent::FrameTx {
-                from: "0x0001".into(),
-                to: "0x00fe".into(),
-                bytes: 127,
-                airtime_us: 4_064,
-                retransmission: true,
-            },
-            TraceEvent::FrameLost {
-                from: "0x0001".into(),
-                to: "0x00fe".into(),
-                bytes: 127,
-            },
-            TraceEvent::Phase {
-                node: "sender".into(),
-                peer: "receiver".into(),
-                phase: "payment".into(),
-                sequence: 3,
-                duration_us: 355_000,
-            },
-            TraceEvent::Round {
-                node: "sender".into(),
-                peer: "receiver".into(),
-                sequence: 3,
-                cumulative_wei: 30_000,
-                latency_us: 1_435_600,
-            },
-            TraceEvent::Fault {
-                from: "0x0001".into(),
-                to: "0x00fe".into(),
-                fault: "corrupt".into(),
-                message_id: 12,
-            },
-            TraceEvent::Collision {
-                slot: 811,
-                contenders: 3,
-                captured: false,
-            },
-            TraceEvent::Backoff {
-                node: "0x0001".into(),
-                window_slots: 16,
-                wait_slots: 9,
-            },
-            TraceEvent::ContractCall {
-                outcome: "return".into(),
-                instructions: 120,
-                mcu_cycles: 600,
-                operation_cycles: 200,
-                smart_contract_cycles: 0,
-                memory_cycles: 380,
-                blockchain_cycles: 0,
-                iot_cycles: 20,
-                keccak_invocations: 1,
-            },
-        ];
-        for event in events {
-            let value = serde::to_value(&event).unwrap();
-            let back: TraceEvent = serde::from_value(value).unwrap();
-            assert_eq!(back, event);
-            assert!(event.to_json().contains(event.kind()));
         }
     }
 }

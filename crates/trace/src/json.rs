@@ -1,81 +1,96 @@
-//! A tiny JSON renderer over the vendored serde's `Value` model.
+//! A tiny JSON object writer.
 //!
-//! The workspace has no `serde_json`; this module is the one place that
-//! turns `serde::Value` trees into JSON text, shared by the JSONL trace
-//! export and the schema-stability golden tests. The rendering is
-//! deterministic: struct fields keep declaration order (the `Value::Map`
-//! preserves it), floats use Rust's shortest round-trip formatting, and
+//! The workspace has no JSON library; this module is the one place that
+//! knows the format of the trace export and the `ExecMetrics` schema.
+//! Callers chain one method per field and the writer handles the rest:
+//! fields appear in call order (callers use declaration order), strings
+//! are escaped, floats use Rust's shortest round-trip formatting and
 //! non-finite floats render as `null`.
 
-use serde::Value;
-
-/// Renders a `Value` tree as compact JSON (no whitespace).
-pub fn value_to_json(value: &Value) -> String {
-    let mut out = String::new();
-    write_value(&mut out, value);
-    out
+/// Builds one compact JSON object (no whitespace), field by field.
+#[derive(Debug)]
+pub struct JsonObject {
+    out: String,
 }
 
-fn write_value(out: &mut String, value: &Value) {
-    match value {
-        Value::Unit => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(v) => out.push_str(&v.to_string()),
-        Value::Int(v) => out.push_str(&v.to_string()),
-        Value::F64(v) => {
-            if v.is_finite() {
-                out.push_str(&v.to_string());
-            } else {
-                out.push_str("null");
-            }
+impl Default for JsonObject {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl JsonObject {
+    /// Starts an empty object.
+    pub fn new() -> Self {
+        JsonObject {
+            out: String::from("{"),
         }
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => {
-            out.push('[');
-            for (index, item) in items.iter().enumerate() {
-                if index > 0 {
-                    out.push(',');
-                }
-                write_value(out, item);
-            }
-            out.push(']');
+    }
+
+    /// Starts an object whose first field is `"type": tag` — the shape of
+    /// one enum variant in the trace export.
+    pub fn tagged(tag: &str) -> Self {
+        Self::new().str("type", tag)
+    }
+
+    fn key(&mut self, name: &str) {
+        if self.out.len() > 1 {
+            self.out.push(',');
         }
-        Value::Map(fields) => {
-            out.push('{');
-            for (index, (name, field)) in fields.iter().enumerate() {
-                if index > 0 {
-                    out.push(',');
-                }
-                write_string(out, name);
-                out.push(':');
-                write_value(out, field);
-            }
-            out.push('}');
+        write_string(&mut self.out, name);
+        self.out.push(':');
+    }
+
+    /// Adds a string field.
+    pub fn str(mut self, name: &str, value: &str) -> Self {
+        self.key(name);
+        write_string(&mut self.out, value);
+        self
+    }
+
+    /// Adds an unsigned integer field.
+    pub fn u64(mut self, name: &str, value: u64) -> Self {
+        self.key(name);
+        self.out.push_str(&value.to_string());
+        self
+    }
+
+    /// Adds a boolean field.
+    pub fn bool(mut self, name: &str, value: bool) -> Self {
+        self.key(name);
+        self.out.push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Adds a float field; NaN and infinities render as `null`.
+    pub fn f64(mut self, name: &str, value: f64) -> Self {
+        self.key(name);
+        if value.is_finite() {
+            self.out.push_str(&value.to_string());
+        } else {
+            self.out.push_str("null");
         }
-        // Enum variants render as a tagged object: the struct-variant
-        // payload's fields are inlined after the tag, other payloads go
-        // under "value".
-        Value::Variant(tag, payload) => {
-            out.push('{');
-            out.push_str("\"type\":");
-            write_string(out, tag);
-            match payload.as_ref() {
-                Value::Unit => {}
-                Value::Map(fields) => {
-                    for (name, field) in fields {
-                        out.push(',');
-                        write_string(out, name);
-                        out.push(':');
-                        write_value(out, field);
-                    }
-                }
-                other => {
-                    out.push_str(",\"value\":");
-                    write_value(out, other);
-                }
+        self
+    }
+
+    /// Adds an array-of-integers field.
+    pub fn u64_array(mut self, name: &str, values: &[u64]) -> Self {
+        self.key(name);
+        self.out.push('[');
+        for (index, value) in values.iter().enumerate() {
+            if index > 0 {
+                self.out.push(',');
             }
-            out.push('}');
+            self.out.push_str(&value.to_string());
         }
+        self.out.push(']');
+        self
+    }
+
+    /// Closes the object and returns its text.
+    pub fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
     }
 }
 
@@ -103,42 +118,37 @@ mod tests {
 
     #[test]
     fn renders_every_value_shape() {
-        assert_eq!(value_to_json(&Value::Unit), "null");
-        assert_eq!(value_to_json(&Value::Bool(true)), "true");
-        assert_eq!(value_to_json(&Value::UInt(42)), "42");
-        assert_eq!(value_to_json(&Value::Int(-7)), "-7");
-        assert_eq!(value_to_json(&Value::F64(1.5)), "1.5");
-        assert_eq!(value_to_json(&Value::F64(24.0)), "24");
-        assert_eq!(value_to_json(&Value::F64(f64::NAN)), "null");
-        assert_eq!(value_to_json(&Value::Str("a\"b\n".into())), "\"a\\\"b\\n\"");
+        assert_eq!(JsonObject::new().finish(), "{}");
         assert_eq!(
-            value_to_json(&Value::Seq(vec![Value::UInt(1), Value::UInt(2)])),
-            "[1,2]"
+            JsonObject::new()
+                .bool("t", true)
+                .bool("f", false)
+                .u64("n", 42)
+                .finish(),
+            "{\"t\":true,\"f\":false,\"n\":42}"
+        );
+        assert_eq!(JsonObject::new().f64("x", 1.5).finish(), "{\"x\":1.5}");
+        assert_eq!(JsonObject::new().f64("x", 24.0).finish(), "{\"x\":24}");
+        assert_eq!(
+            JsonObject::new().f64("x", f64::NAN).finish(),
+            "{\"x\":null}"
         );
         assert_eq!(
-            value_to_json(&Value::Map(vec![
-                ("a".into(), Value::UInt(1)),
-                ("b".into(), Value::Bool(false)),
-            ])),
-            "{\"a\":1,\"b\":false}"
+            JsonObject::new().f64("x", f64::INFINITY).finish(),
+            "{\"x\":null}"
         );
         assert_eq!(
-            value_to_json(&Value::Variant(
-                "Power".into(),
-                Box::new(Value::Map(vec![("node".into(), Value::Str("s".into()))]))
-            )),
+            JsonObject::new().str("s", "a\"b\n\\\t\u{1}").finish(),
+            "{\"s\":\"a\\\"b\\n\\\\\\t\\u0001\"}"
+        );
+        assert_eq!(
+            JsonObject::new().u64_array("a", &[1, 2]).finish(),
+            "{\"a\":[1,2]}"
+        );
+        assert_eq!(JsonObject::new().u64_array("a", &[]).finish(), "{\"a\":[]}");
+        assert_eq!(
+            JsonObject::tagged("Power").str("node", "s").finish(),
             "{\"type\":\"Power\",\"node\":\"s\"}"
-        );
-        assert_eq!(
-            value_to_json(&Value::Variant("Idle".into(), Box::new(Value::Unit))),
-            "{\"type\":\"Idle\"}"
-        );
-        assert_eq!(
-            value_to_json(&Value::Variant(
-                "Pair".into(),
-                Box::new(Value::Seq(vec![Value::UInt(1), Value::UInt(2)]))
-            )),
-            "{\"type\":\"Pair\",\"value\":[1,2]}"
         );
     }
 }

@@ -47,6 +47,6 @@ pub mod metrics;
 pub mod tracer;
 
 pub use event::TraceEvent;
-pub use json::value_to_json;
+pub use json::JsonObject;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
-pub use tracer::{NoopTracer, RecordingTracer, TraceHandle, TraceSnapshot, Tracer};
+pub use tracer::{RecordingTracer, TraceHandle, TraceSnapshot};

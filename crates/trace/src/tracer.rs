@@ -1,5 +1,5 @@
-//! The tracer trait, the no-op and recording implementations, and the
-//! cloneable [`TraceHandle`] components actually hold.
+//! The recording sink and the cloneable [`TraceHandle`] components
+//! actually hold.
 //!
 //! Components never own a tracer type directly: they hold a `TraceHandle`,
 //! which is either empty (the default — every publish is one `Option`
@@ -13,39 +13,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::event::TraceEvent;
 use crate::metrics::{Histogram, MetricsRegistry};
-
-/// A sink for structured events and metrics.
-///
-/// The two implementations are [`NoopTracer`] (drops everything,
-/// `enabled() == false`) and [`RecordingTracer`] (bounded ring of events
-/// plus a [`MetricsRegistry`]).
-pub trait Tracer {
-    /// True when publishing has any effect. Callers use this to skip
-    /// constructing expensive event payloads.
-    fn enabled(&self) -> bool;
-    /// Records one typed event.
-    fn record_event(&mut self, event: TraceEvent);
-    /// Adds `delta` to the named counter.
-    fn add_counter(&mut self, name: &str, delta: u64);
-    /// Sets the named gauge.
-    fn set_gauge(&mut self, name: &str, value: f64);
-    /// Records one histogram sample.
-    fn observe(&mut self, name: &str, value: f64);
-}
-
-/// The default sink: drops everything.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn record_event(&mut self, _event: TraceEvent) {}
-    fn add_counter(&mut self, _name: &str, _delta: u64) {}
-    fn set_gauge(&mut self, _name: &str, _value: f64) {}
-    fn observe(&mut self, _name: &str, _value: f64) {}
-}
 
 /// A bounded recording sink: a ring buffer of the most recent events plus
 /// a metrics registry.
@@ -97,16 +64,6 @@ impl RecordingTracer {
         &self.metrics
     }
 
-    /// Renders all recorded events as JSONL: one JSON object per line.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Copies the current state out as an owned [`TraceSnapshot`].
     pub fn snapshot(&self) -> TraceSnapshot {
         TraceSnapshot {
@@ -115,14 +72,9 @@ impl RecordingTracer {
             metrics: self.metrics.clone(),
         }
     }
-}
 
-impl Tracer for RecordingTracer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record_event(&mut self, event: TraceEvent) {
+    /// Records one typed event, evicting the oldest when the ring is full.
+    pub fn record_event(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped = self.dropped.saturating_add(1);
@@ -130,15 +82,18 @@ impl Tracer for RecordingTracer {
         self.events.push_back(event);
     }
 
-    fn add_counter(&mut self, name: &str, delta: u64) {
+    /// Adds `delta` to the named counter.
+    pub fn add_counter(&mut self, name: &str, delta: u64) {
         self.metrics.count(name, delta);
     }
 
-    fn set_gauge(&mut self, name: &str, value: f64) {
+    /// Sets the named gauge.
+    pub fn set_gauge(&mut self, name: &str, value: f64) {
         self.metrics.gauge(name, value);
     }
 
-    fn observe(&mut self, name: &str, value: f64) {
+    /// Records one histogram sample.
+    pub fn observe(&mut self, name: &str, value: f64) {
         self.metrics.observe(name, value);
     }
 }
@@ -339,23 +294,12 @@ mod tests {
         let mut tracer = RecordingTracer::new();
         tracer.record_event(phase_event(1));
         tracer.record_event(phase_event(2));
-        let jsonl = tracer.to_jsonl();
+        let jsonl = tracer.snapshot().to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {
             assert!(line.starts_with("{\"type\":\"Phase\""));
             assert!(line.ends_with('}'));
         }
-        assert_eq!(jsonl, tracer.snapshot().to_jsonl());
-    }
-
-    #[test]
-    fn noop_tracer_trait_impl_discards() {
-        let mut noop = NoopTracer;
-        assert!(!noop.enabled());
-        noop.record_event(phase_event(1));
-        noop.add_counter("a", 1);
-        noop.set_gauge("b", 2.0);
-        noop.observe("c", 3.0);
     }
 }

@@ -873,19 +873,6 @@ impl core::fmt::Binary for U256 {
     }
 }
 
-impl serde::Serialize for U256 {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_hex())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for U256 {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        U256::from_hex(&s).map_err(serde::de::Error::custom)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1253,16 +1240,11 @@ mod tests {
         assert_eq!(U256::from_limbs([1, 1, 0, 0]).to_usize(), None);
     }
 
+    // Despite its name this test never involved serde: it checks that the
+    // hex-string form round-trips through `to_hex` and `from_hex`.
     #[test]
     fn serde_round_trip() {
         let v = u(0xdeadbeef);
-        let json = serde_json_like_roundtrip(&v);
-        assert_eq!(json, v);
-    }
-
-    // Small helper that exercises Serialize/Deserialize without pulling in
-    // serde_json: it serializes to the hex string and parses it back.
-    fn serde_json_like_roundtrip(v: &U256) -> U256 {
-        U256::from_hex(&v.to_hex()).unwrap()
+        assert_eq!(U256::from_hex(&v.to_hex()).unwrap(), v);
     }
 }

@@ -97,18 +97,6 @@ impl core::fmt::Display for Wei {
     }
 }
 
-impl serde::Serialize for Wei {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.0.serialize(serializer)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Wei {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        U256::deserialize(deserializer).map(Wei)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

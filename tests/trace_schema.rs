@@ -7,8 +7,8 @@
 //! be made deliberately.
 
 use proptest::prelude::*;
-use tinyevm::evm::{EvmConfig, ExecMetrics};
-use tinyevm::trace::{value_to_json, Histogram, TraceEvent};
+use tinyevm::evm::EvmConfig;
+use tinyevm::trace::{Histogram, TraceEvent};
 
 fn golden_events() -> Vec<(TraceEvent, &'static str)> {
     vec![
@@ -74,6 +74,41 @@ fn golden_events() -> Vec<(TraceEvent, &'static str)> {
             },
             r#"{"type":"ContractCall","outcome":"return","instructions":120,"mcu_cycles":600,"operation_cycles":200,"smart_contract_cycles":0,"memory_cycles":380,"blockchain_cycles":0,"iot_cycles":20,"keccak_invocations":1}"#,
         ),
+        (
+            TraceEvent::Fault {
+                from: "0x0001".into(),
+                to: "0x00fe".into(),
+                fault: "corrupt".into(),
+                message_id: 12,
+            },
+            r#"{"type":"Fault","from":"0x0001","to":"0x00fe","fault":"corrupt","message_id":12}"#,
+        ),
+        (
+            TraceEvent::Collision {
+                slot: 811,
+                contenders: 3,
+                captured: false,
+            },
+            r#"{"type":"Collision","slot":811,"contenders":3,"captured":false}"#,
+        ),
+        (
+            TraceEvent::Backoff {
+                node: "0x0001".into(),
+                window_slots: 16,
+                wait_slots: 9,
+            },
+            r#"{"type":"Backoff","node":"0x0001","window_slots":16,"wait_slots":9}"#,
+        ),
+        (
+            TraceEvent::Power {
+                node: "a\"b\n\u{1}".into(),
+                state: "TX".into(),
+                start_us: 0,
+                duration_us: 0,
+                current_ma: f64::NAN,
+            },
+            r#"{"type":"Power","node":"a\"b\n\u0001","state":"TX","start_us":0,"duration_us":0,"current_ma":null}"#,
+        ),
     ]
 }
 
@@ -92,15 +127,14 @@ fn trace_event_golden_vectors() {
 #[test]
 fn exec_metrics_golden_vector() {
     // A tiny deterministic program: the serialized metrics are pinned, so
-    // any change to `ExecMetrics`' serde schema (field names, order, the
+    // any change to `ExecMetrics`' JSON schema (field names, order, the
     // histogram encoding) fails here first.
     let program = tinyevm::evm::asm::assemble("PUSH1 0x02 PUSH1 0x03 ADD POP STOP")
         .expect("golden program assembles");
     let result = tinyevm::evm::Evm::new(EvmConfig::cc2538())
         .execute(&program, &[])
         .expect("golden program executes");
-    let value = serde::to_value(&result.metrics).expect("metrics serialize");
-    let json = value_to_json(&value);
+    let json = result.metrics.to_json();
 
     // The scalar prefix is the schema-sensitive part; pin it exactly.
     let prefix = json
@@ -116,8 +150,6 @@ fn exec_metrics_golden_vector() {
     );
     // The histogram renders as a 256-entry array whose buckets match the
     // executed opcodes: 2×PUSH1 (0x60), 1×ADD (0x01), 1×POP (0x50), 1×STOP.
-    let histogram: ExecMetrics = serde::from_value(value).expect("metrics deserialize");
-    assert_eq!(histogram, result.metrics, "round trip changed the metrics");
     assert_eq!(result.metrics.opcode_histogram[0x60], 2);
     assert_eq!(result.metrics.opcode_histogram[0x01], 1);
     assert_eq!(result.metrics.opcode_histogram[0x50], 1);
