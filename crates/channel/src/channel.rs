@@ -1,5 +1,6 @@
 //! The per-node payment-channel state machine.
 
+use tinyevm_crypto::keccak256;
 use tinyevm_crypto::secp256k1::{PrivateKey, Signature};
 use tinyevm_types::{Address, Wei, H256};
 
@@ -249,6 +250,27 @@ impl PaymentChannel {
         increment: Wei,
         sensor_data_hash: H256,
     ) -> Result<SignedPayment, ChannelError> {
+        self.create_payment_with(increment, sensor_data_hash, |payload| {
+            payer_key.sign_prehashed(&keccak256(payload))
+        })
+    }
+
+    /// [`PaymentChannel::create_payment`] with the signing step supplied by
+    /// the caller: `sign` receives the payload encoding and must return the
+    /// payer's signature over its Keccak-256 digest (see
+    /// [`SignedPayment::create_with`]). A device that charges modeled time
+    /// for the hash and the signature passes its own signer, so the payment
+    /// is signed once. `sign` runs only after every check has passed.
+    ///
+    /// # Errors
+    ///
+    /// As [`PaymentChannel::create_payment`].
+    pub(crate) fn create_payment_with(
+        &mut self,
+        increment: Wei,
+        sensor_data_hash: H256,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) -> Result<SignedPayment, ChannelError> {
         if self.role != ChannelRole::Sender {
             return Err(ChannelError::WrongRole(ChannelRole::Sender));
         }
@@ -263,13 +285,13 @@ impl PaymentChannel {
             }));
         }
         let sequence = self.sequence + 1;
-        let payment = SignedPayment::create(
-            payer_key,
+        let payment = SignedPayment::create_with(
             self.config.template,
             self.config.channel_id,
             sequence,
             new_cumulative,
             sensor_data_hash,
+            sign,
         );
         self.sequence = sequence;
         self.cumulative = new_cumulative;
@@ -279,12 +301,41 @@ impl PaymentChannel {
     }
 
     /// Validates and applies a payment received from the peer (receiver
-    /// side only).
+    /// side only). Recovers the payer from the payment's signature. The
+    /// channel endpoint, whose device has already recovered the payer (and
+    /// charged modeled time for it), hands that address to a crate-private
+    /// variant instead of recovering twice.
     ///
     /// # Errors
     ///
     /// Returns [`ChannelError::Payment`] describing which check failed.
     pub fn accept_payment(&mut self, payment: &SignedPayment) -> Result<(), ChannelError> {
+        self.accept(payment, || payment.payer())
+    }
+
+    /// [`PaymentChannel::accept_payment`] for a payment whose signer the
+    /// caller has already recovered from `payment.signature` over the
+    /// payment's digest. `payer` is checked against the channel's sender
+    /// exactly where `accept_payment` checks its own recovery, so the
+    /// errors and their order are the same. Passing anything but the
+    /// recovered signer skips the signature check.
+    ///
+    /// # Errors
+    ///
+    /// As [`PaymentChannel::accept_payment`].
+    pub(crate) fn accept_recovered_payment(
+        &mut self,
+        payment: &SignedPayment,
+        payer: Address,
+    ) -> Result<(), ChannelError> {
+        self.accept(payment, || Ok(payer))
+    }
+
+    fn accept(
+        &mut self,
+        payment: &SignedPayment,
+        payer: impl FnOnce() -> Result<Address, PaymentError>,
+    ) -> Result<(), ChannelError> {
         if self.role != ChannelRole::Receiver {
             return Err(ChannelError::WrongRole(ChannelRole::Receiver));
         }
@@ -295,7 +346,9 @@ impl PaymentChannel {
         {
             return Err(ChannelError::Payment(PaymentError::WrongChannel));
         }
-        payment.verify_payer(&self.config.sender)?;
+        if payer()? != self.config.sender {
+            return Err(ChannelError::Payment(PaymentError::BadSignature));
+        }
         if payment.sequence <= self.sequence {
             return Err(ChannelError::Payment(PaymentError::StaleSequence {
                 current: self.sequence,

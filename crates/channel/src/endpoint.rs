@@ -1285,9 +1285,13 @@ impl ChannelEndpoint {
         }
         let busy_from = self.device.now();
         let expected_payer = self.session_mut(from)?.registration.sender;
+        // The one recovery of this step: the device charges it, and the
+        // channel below checks the recovered payer instead of recovering
+        // again.
+        let payload = payment.encode_payload();
         let payer = self
             .device
-            .verify_payload(&payment.encode_payload(), &payment.signature)
+            .verify_payload(&payload, &payment.signature)
             .ok_or(EndpointError::BadSignature)?;
         if payer != expected_payer {
             return Err(EndpointError::BadSignature);
@@ -1311,7 +1315,7 @@ impl ChannelEndpoint {
             && payment.cumulative == head.1
             && payment.channel_id == head.2
         {
-            let (ack_signature, _) = self.device.sign_payload(&payment.encode_payload());
+            let (ack_signature, _) = self.device.sign_payload(&payload);
             self.tracer.count("channel.duplicate_messages", 1);
             self.outbox.push_back(Outgoing {
                 to: from,
@@ -1324,9 +1328,11 @@ impl ChannelEndpoint {
             });
             return Ok(Vec::new());
         }
-        self.session_mut(from)?.channel.accept_payment(&payment)?;
+        self.session_mut(from)?
+            .channel
+            .accept_recovered_payment(&payment, payer)?;
         self.register_on_side_chain(from, &payment)?;
-        let (ack_signature, _) = self.device.sign_payload(&payment.encode_payload());
+        let (ack_signature, _) = self.device.sign_payload(&payload);
         let processing = self.device.now().saturating_sub(busy_from);
         let node = self.device.name().to_string();
         self.tracer.event(|| TraceEvent::Phase {
@@ -1715,15 +1721,21 @@ impl ChannelEndpoint {
         sensor_hash: H256,
         started_at: Duration,
     ) -> Result<(), EndpointError> {
-        let key = *self.device.private_key();
+        // The channel checks the cap and lays out the payload; the device
+        // hashes and signs it once, charging the modeled Keccak and
+        // crypto-engine time for that one signature.
+        let device = &mut self.device;
+        let mut sign_time = Duration::ZERO;
         let payment = self
-            .session_mut(peer)?
+            .sessions
+            .get_mut(&peer)
+            .ok_or(EndpointError::UnknownPeer(peer))?
             .channel
-            .create_payment(&key, amount, sensor_hash)?;
-        // The channel signed with the node key; the device model charges
-        // the crypto-engine latency for the same digest.
-        let (device_signature, sign_time) = self.device.sign_payload(&payment.encode_payload());
-        debug_assert_eq!(device_signature, payment.signature);
+            .create_payment_with(amount, sensor_hash, |payload| {
+                let (signature, elapsed) = device.sign_payload(payload);
+                sign_time = elapsed;
+                signature
+            })?;
         let signed_at = self.device.now();
         let reading_time = signed_at
             .saturating_sub(started_at)

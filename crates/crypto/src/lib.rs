@@ -12,6 +12,9 @@
 //! * [`secp256k1`] — prime-field and curve arithmetic, ECDSA signing,
 //!   verification and public-key recovery, which is how signed off-chain
 //!   payments are validated and attributed to a channel party.
+//! * [`opcount`] — exact per-thread counts of signs, recoveries, verifies
+//!   and public-key derivations, which tests use to pin the host crypto
+//!   budget of a protocol step.
 //!
 //! The *latency and energy cost* of these operations on the IoT device is
 //! not modelled here — that lives in `tinyevm-device`, which wraps these
@@ -34,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod keccak;
+pub mod opcount;
 pub mod secp256k1;
 pub mod sha256;
 

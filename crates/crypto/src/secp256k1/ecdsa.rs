@@ -19,6 +19,7 @@ use super::field::FieldElement;
 use super::point::{double_scalar_mul_generator, generator_mul, multi_scalar_mul, Point};
 use super::scalar::Scalar;
 use super::{CryptoError, CURVE_ORDER, FIELD_PRIME};
+use crate::opcount::{self, Op};
 use crate::{hmac_sha256, keccak256, sha256};
 use tinyevm_types::{Address, H256, U256};
 
@@ -81,6 +82,7 @@ impl PrivateKey {
 
     /// The corresponding public key `d·G` (fixed-base table multiply).
     pub fn public_key(&self) -> PublicKey {
+        opcount::record(Op::PublicKey);
         PublicKey(generator_mul(self.0).to_affine())
     }
 
@@ -90,6 +92,7 @@ impl PrivateKey {
     /// HMAC-SHA-256 (RFC-6979 style), so no RNG is needed at signing time —
     /// exactly the property a constrained IoT device wants.
     pub fn sign_prehashed(&self, digest: &[u8; 32]) -> Signature {
+        opcount::record(Op::Sign);
         let z = Scalar::from_bytes(digest);
         let mut counter: u32 = 0;
         loop {
@@ -193,6 +196,7 @@ impl PublicKey {
     /// accepts iff `R'.x ≡ r (mod n)`, checked projectively against both
     /// field representatives of `r` — no inversion, no normalization.
     pub fn verify_prehashed(&self, digest: &[u8; 32], signature: &Signature) -> bool {
+        opcount::record(Op::Verify);
         let Some((r, s)) = signature.scalars() else {
             return false;
         };
@@ -395,6 +399,7 @@ impl Signature {
     /// Returns [`CryptoError::InvalidSignature`] when the signature is out of
     /// range or the recovered point is not valid.
     pub fn recover(&self, digest: &[u8; 32]) -> Result<PublicKey, CryptoError> {
+        opcount::record(Op::Recover);
         let (r, s) = self.scalars().ok_or(CryptoError::InvalidSignature)?;
         let r_point = Point::from_x(self.r, self.recovery_id == 1)?;
         let r_inv = r.invert();

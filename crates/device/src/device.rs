@@ -2,6 +2,7 @@
 //! and the TinyEVM virtual machine, sharing one energy meter and one
 //! simulated clock.
 
+use std::cell::OnceCell;
 use std::time::Duration;
 
 use tinyevm_crypto::secp256k1::{PrivateKey, PublicKey, Signature};
@@ -89,6 +90,9 @@ impl DeviceConfig {
 pub struct Device {
     config: DeviceConfig,
     key: PrivateKey,
+    /// `key`'s public key and address, derived on first use: the key never
+    /// changes, and a derivation is a full generator multiply.
+    identity: OnceCell<(PublicKey, Address)>,
     sensors: DeviceSensors,
     meter: EnergyMeter,
     world: ContractStore,
@@ -113,6 +117,7 @@ impl Device {
         Device {
             config,
             key,
+            identity: OnceCell::new(),
             sensors,
             meter: EnergyMeter::cc2538(),
             world,
@@ -149,14 +154,24 @@ impl Device {
         &self.key
     }
 
-    /// The device's public key.
+    /// The device's public key. Derived from the signing key on the first
+    /// call to this or [`Device::address`] and cached; host-side
+    /// bookkeeping, so it charges no modeled time.
     pub fn public_key(&self) -> PublicKey {
-        self.key.public_key()
+        self.identity().0
     }
 
-    /// The device's Ethereum-style address (its payment identity).
+    /// The device's Ethereum-style address (its payment identity). Cached
+    /// with [`Device::public_key`]; charges no modeled time.
     pub fn address(&self) -> Address {
-        self.key.eth_address()
+        self.identity().1
+    }
+
+    fn identity(&self) -> &(PublicKey, Address) {
+        self.identity.get_or_init(|| {
+            let public_key = self.key.public_key();
+            (public_key, public_key.eth_address())
+        })
     }
 
     /// The device configuration.
@@ -370,7 +385,12 @@ impl Device {
 
     /// Hashes a payload with Keccak-256 (software) and signs it with the
     /// crypto engine. Returns the signature and the modelled time
-    /// (Table V: about 355 ms).
+    /// (Table V: about 355 ms), and logs one "sign payload" activity.
+    ///
+    /// The signature is real and computed once: `tinyevm-channel`'s
+    /// endpoint uses this method as the signer when it builds a payment,
+    /// so each payment is signed once on the host and charged once on the
+    /// modeled clock.
     pub fn sign_payload(&mut self, payload: &[u8]) -> (Signature, Duration) {
         let start = self.meter.now();
         let digest = self.config.crypto.keccak256(&mut self.meter, payload);
@@ -380,8 +400,13 @@ impl Device {
         (signature, elapsed)
     }
 
-    /// Verifies a signature over a payload, charging crypto-engine time;
-    /// returns the signer address when valid.
+    /// Verifies a signature over a payload, charging Keccak and
+    /// crypto-engine time and logging one "verify payload" activity;
+    /// returns the recovered signer address when the signature is valid.
+    ///
+    /// The recovery is real and runs once: callers compare the returned
+    /// address with the expected signer and pass it on (the channel
+    /// endpoint hands it to its channel) rather than recovering it again.
     pub fn verify_payload(&mut self, payload: &[u8], signature: &Signature) -> Option<Address> {
         let start = self.meter.now();
         let digest = self.config.crypto.keccak256(&mut self.meter, payload);
@@ -499,6 +524,8 @@ mod tests {
         let b = Device::openmote_b("sensor-B");
         assert_eq!(a1.address(), a2.address());
         assert_ne!(a1.address(), b.address());
+        assert_eq!(a1.address(), a1.public_key().eth_address());
+        assert_eq!(a1.public_key(), a1.private_key().public_key());
         assert_eq!(a1.name(), "sensor-A");
     }
 

@@ -108,15 +108,43 @@ impl SignedPayment {
         cumulative: Wei,
         sensor_data_hash: H256,
     ) -> Self {
-        let digest =
-            Self::payload_digest(template, channel_id, sequence, cumulative, sensor_data_hash);
+        Self::create_with(
+            template,
+            channel_id,
+            sequence,
+            cumulative,
+            sensor_data_hash,
+            |payload| payer.sign_prehashed(&keccak256(payload)),
+        )
+    }
+
+    /// Builds a payment whose signature `sign` produces from the payload
+    /// encoding ([`SignedPayment::encode_payload`]). `sign` must sign the
+    /// Keccak-256 digest of the bytes it is given; a device that charges
+    /// modeled time for hashing and signing passes its own signer here, so
+    /// the payment is signed exactly once.
+    pub fn create_with(
+        template: Address,
+        channel_id: u64,
+        sequence: u64,
+        cumulative: Wei,
+        sensor_data_hash: H256,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) -> Self {
+        let signature = sign(&Self::payload_encoding(
+            template,
+            channel_id,
+            sequence,
+            cumulative,
+            sensor_data_hash,
+        ));
         SignedPayment {
             template,
             channel_id,
             sequence,
             cumulative,
             sensor_data_hash,
-            signature: payer.sign_prehashed(&digest),
+            signature,
         }
     }
 
@@ -256,6 +284,24 @@ mod tests {
             p.verify_payer(&other.eth_address()),
             Err(PaymentError::BadSignature)
         );
+    }
+
+    #[test]
+    fn create_with_signs_the_payload_encoding_once() {
+        let mut payloads = Vec::new();
+        let p = SignedPayment::create_with(
+            Address::from_low_u64(0xAA),
+            3,
+            1,
+            Wei::from(100u64),
+            H256::from_low_u64(0xfeed),
+            |payload| {
+                payloads.push(payload.to_vec());
+                payer().sign_prehashed(&keccak256(payload))
+            },
+        );
+        assert_eq!(payloads, vec![p.encode_payload()]);
+        assert_eq!(p, payment(1, 100));
     }
 
     #[test]

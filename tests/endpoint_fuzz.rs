@@ -19,9 +19,11 @@
 //! Each property runs the proptest default of 256 cases.
 
 use proptest::prelude::*;
-use tinyevm::channel::endpoint::{ChannelEndpoint, ChannelRegistration, Effect};
+use tinyevm::channel::endpoint::{ChannelEndpoint, ChannelRegistration, Effect, Envelope};
 use tinyevm::channel::{ChannelError, EndpointError, NodeAddr, PaymentError, SignedPayment};
+use tinyevm::crypto::opcount::{snapshot, OpCounts};
 use tinyevm::crypto::secp256k1::PrivateKey;
+use tinyevm::device::{Device, DeviceActivity};
 use tinyevm::types::{Address, Wei, H256, U256};
 use tinyevm::wire::{CloseRequest, Message, PaymentAck, SensorReading};
 
@@ -101,6 +103,184 @@ fn genuine_payment_wire(sender: &ChannelEndpoint, sequence: u64, cumulative: u64
         H256::from_low_u64(0xFEED),
     ))
     .to_wire()
+}
+
+/// A payment for `sequence`/`cumulative` on the session's channel, signed
+/// with `key`.
+fn payment_signed_by(
+    key: &PrivateKey,
+    sender: &ChannelEndpoint,
+    sequence: u64,
+    cumulative: u64,
+) -> SignedPayment {
+    let registration = sender.registration(LOT).unwrap();
+    SignedPayment::create(
+        key,
+        registration.template,
+        registration.channel_id,
+        sequence,
+        Wei::from(cumulative),
+        H256::from_low_u64(0xFEED),
+    )
+}
+
+/// The host crypto `step` runs on this thread.
+fn crypto_ops<T>(step: impl FnOnce() -> T) -> (T, OpCounts) {
+    let before = snapshot();
+    let result = step();
+    (result, snapshot().since(before))
+}
+
+/// One recovery and nothing else: the cost of refusing a payment.
+const ONE_RECOVERY: OpCounts = OpCounts {
+    sign: 0,
+    recover: 1,
+    verify: 0,
+    public_key: 0,
+};
+
+/// The payment a sender queues carries exactly the signature its device's
+/// `sign_payload` produces over the payment's payload, and producing it
+/// charged the device exactly what `sign_payload` charges: the same
+/// activities, modeled time and per-state meter totals. One signature
+/// serves the payment and the modeled charge.
+#[test]
+fn a_queued_payment_is_signed_and_charged_once_by_the_device() {
+    let (mut sender, mut receiver) = session(1);
+    sender.pay(LOT, Wei::from(5_000u64)).unwrap();
+    let reading = sender.poll_transmit().expect("the sender's reading");
+    receiver.handle_message(CAR, reading.message).unwrap();
+    let reply = receiver.poll_transmit().expect("the receiver's reading");
+
+    // The peer's reading is what makes the sender sign.
+    let clock = sender.device().now();
+    let logged = sender.device().activities().len();
+    let report = sender.device().energy_report();
+    let (_, ops) = crypto_ops(|| sender.handle_message(LOT, reply.message).unwrap());
+    assert_eq!(
+        ops,
+        OpCounts {
+            sign: 1,
+            ..OpCounts::ZERO
+        }
+    );
+    let device = sender.device();
+    let elapsed = device.now() - clock;
+    let charged: Vec<DeviceActivity> = device.activities()[logged..]
+        .iter()
+        .map(|activity| DeviceActivity {
+            start: activity.start - clock,
+            ..activity.clone()
+        })
+        .collect();
+    let after = device.energy_report();
+    // Transmitting charges the codec, so look at the payment only now.
+    let Some(Envelope {
+        message: Message::Payment(payment),
+        ..
+    }) = sender.poll_transmit()
+    else {
+        panic!("the sender queues its payment");
+    };
+
+    let mut reference = Device::openmote_b("fuzz-car");
+    let (signature, sign_time) = reference.sign_payload(&payment.encode_payload());
+    assert_eq!(payment.signature, signature);
+    assert_eq!(elapsed, sign_time);
+    assert_eq!(charged, reference.activities());
+    for ((after, before), expected) in after
+        .states
+        .iter()
+        .zip(&report.states)
+        .zip(&reference.energy_report().states)
+    {
+        assert_eq!(
+            after.time - before.time,
+            expected.time,
+            "{:?}",
+            expected.state
+        );
+    }
+
+    // The round completes, and its receipt reports the same sign time.
+    receiver
+        .handle_message(CAR, Message::Payment(payment))
+        .unwrap();
+    let receipt = pump(&mut sender, &mut receiver)
+        .into_iter()
+        .find_map(|effect| match effect {
+            Effect::PaymentCompleted { receipt, .. } => Some(receipt),
+            _ => None,
+        })
+        .expect("the round completes");
+    assert_eq!(receipt.sign_time, sign_time);
+}
+
+/// A payment signed by the wrong key is refused after one recovery: the
+/// channel head and side-chain log stay put and no ack is queued.
+#[test]
+fn a_payment_signed_by_the_wrong_key_is_refused() {
+    let (sender, mut receiver) = session(2);
+    let before = committed_state(&receiver, CAR);
+    let imposter = PrivateKey::from_seed(b"imposter");
+    let forged = payment_signed_by(&imposter, &sender, 3, 15_000);
+    let (result, ops) = crypto_ops(|| receiver.handle_message(CAR, Message::Payment(forged)));
+    assert!(matches!(result, Err(EndpointError::BadSignature)));
+    assert_eq!(ops, ONE_RECOVERY);
+    assert_eq!(committed_state(&receiver, CAR), before);
+    assert!(receiver.poll_transmit().is_none(), "no ack for a forgery");
+}
+
+/// A retransmission of the head payment (same channel, sequence and
+/// cumulative) signed by the wrong key is refused before the re-ack path:
+/// no ack is queued and nothing moves.
+#[test]
+fn a_forged_head_retransmission_is_not_reacknowledged() {
+    let (sender, mut receiver) = session(2);
+    let before = committed_state(&receiver, CAR);
+    let imposter = PrivateKey::from_seed(b"imposter");
+    let forged = payment_signed_by(&imposter, &sender, 2, 10_000);
+    let (result, ops) = crypto_ops(|| receiver.handle_message(CAR, Message::Payment(forged)));
+    assert!(matches!(result, Err(EndpointError::BadSignature)));
+    assert_eq!(ops, ONE_RECOVERY);
+    assert_eq!(committed_state(&receiver, CAR), before);
+    assert!(receiver.poll_transmit().is_none(), "no ack for a forgery");
+}
+
+/// A genuine retransmission of the head payment is re-acknowledged with
+/// the receiver's signature over it, and no state moves.
+#[test]
+fn a_genuine_head_retransmission_is_reacknowledged() {
+    let (sender, mut receiver) = session(2);
+    let before = committed_state(&receiver, CAR);
+    let head = payment_signed_by(sender.device().private_key(), &sender, 2, 10_000);
+    let (effects, ops) = crypto_ops(|| {
+        receiver
+            .handle_message(CAR, Message::Payment(head.clone()))
+            .unwrap()
+    });
+    assert!(effects.is_empty());
+    assert_eq!(
+        ops,
+        OpCounts {
+            sign: 1,
+            ..ONE_RECOVERY
+        }
+    );
+    assert_eq!(committed_state(&receiver, CAR), before);
+    let Some(Envelope {
+        to: CAR,
+        message: Message::PaymentAck(ack),
+    }) = receiver.poll_transmit()
+    else {
+        panic!("the head payment is re-acknowledged");
+    };
+    assert_eq!((ack.channel_id, ack.sequence), (1, 2));
+    assert_eq!(
+        ack.signature.recover_address(&head.digest()),
+        Ok(receiver.account())
+    );
+    assert!(receiver.poll_transmit().is_none());
 }
 
 /// A close request with the real public key and the true closing state but
